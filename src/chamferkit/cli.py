@@ -112,7 +112,6 @@ def cmd_fit(args) -> int:
         learning_rate=args.lr,
         epochs=args.epochs,
         snapshot_epochs=snapshots,
-        seed=args.seed,
     )
     trajectory = fit(initial, target, config)
     outdir = Path(args.outdir)
@@ -141,7 +140,6 @@ def cmd_sweep(args) -> int:
         _parse_floats(args.alphas, "--alphas"),
         _parse_floats(args.lrs, "--lrs"),
         epochs=args.epochs,
-        seed=args.seed,
     )
     write_sweep_csv(result, args.out)
     total = result.final_l1_cd.size
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated epochs to dump clouds and correspondences at",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", required=True, help="directory for trajectory files")
     p.set_defaults(func=cmd_fit)
 
@@ -277,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", required=True, help="comma-separated alpha grid")
     p.add_argument("--lrs", required=True, help="comma-separated learning-rate grid")
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, as_point
-from .matching import MatchResult, match_indexed
+from .matching import _CHUNK_BYTES, MatchResult, match_indexed
 
 TRANSFORM_KINDS = ("l1", "l2", "exp", "hyper")
 
@@ -183,7 +183,7 @@ def chamfer_poincare(a: PointCloud, b: PointCloud) -> SetDistanceReport:
     fwd_u = np.empty(n)
     bwd_idx = np.zeros(m, dtype=np.int64)
     bwd_u = np.full(m, np.inf)
-    chunk = max(1, (1 << 26) // (m * 3 * 8))
+    chunk = max(1, _CHUNK_BYTES // (m * 3 * 8))
     for start in range(0, n, chunk):
         rows = A[start : start + chunk]
         diff = rows[:, None, :] - B[None, :, :]

@@ -11,7 +11,7 @@ import numpy as np
 from .cloud import PointCloud
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
-from .matching import MatchResult, match_indexed
+from .matching import MAX_ABS_COORD, MatchResult, match_indexed
 
 _L1_SPEC = TransformSpec("l1")
 
@@ -38,7 +38,6 @@ class FitConfig:
     learning_rate: float
     epochs: int
     snapshot_epochs: tuple[int, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "snapshot_epochs", tuple(int(e) for e in self.snapshot_epochs))
@@ -74,8 +73,9 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
     """Descend chamfer(movable, target, config.spec) from initial.
 
     Full re-matching every epoch, update movable -= lr * grad. Raises
-    DivergenceError the moment the loss or any coordinate leaves the
-    finite range. Deterministic: same inputs, same trajectory.
+    DivergenceError the moment the loss leaves the finite range or any
+    coordinate leaves the matchers' range |x| <= MAX_ABS_COORD.
+    Deterministic: same inputs, same trajectory.
     """
     wanted = set(config.snapshot_epochs)
     current = initial.points.copy()
@@ -98,8 +98,10 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
                 snapshots.append((epoch, cloud, match))
             grad = chamfer_gradient(cloud, target, config.spec, match=match)
             current = current - config.learning_rate * grad.vectors
-        if not np.isfinite(current).all():
-            raise DivergenceError(epoch, "update produced non-finite coordinates")
+        if not (np.abs(current) <= MAX_ABS_COORD).all():  # NaN fails too
+            raise DivergenceError(
+                epoch, f"update produced coordinates non-finite or beyond {MAX_ABS_COORD:g}"
+            )
 
     final_cloud = PointCloud(current)
     final_match = match_indexed(final_cloud, target)
@@ -134,7 +136,6 @@ def sweep_alpha_lr(
     alphas,
     learning_rates,
     epochs: int,
-    seed: int = 0,
 ) -> SweepResult:
     """Grid of hyperbolic (beta = 2) fits over alpha x learning rate.
 
@@ -156,7 +157,6 @@ def sweep_alpha_lr(
                     spec=TransformSpec("hyper", alpha=alpha, beta=2.0),
                     learning_rate=lr,
                     epochs=epochs,
-                    seed=seed,
                 )
                 grid[i, j] = fit(initial, target, config).final_l1_cd
             except (ValueError, DivergenceError) as exc:

@@ -95,6 +95,14 @@ class TestDistance:
         assert main(["distance", str(fa), str(fb), "--kind", "poincare"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_coordinates_beyond_range_are_data_error(self, tmp_path, capsys):
+        fa = tmp_path / "huge.xyz"
+        fb = tmp_path / "small.xyz"
+        write_xyz(fa, [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        write_xyz(fb, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert main(["distance", str(fa), str(fb)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCurves:
     def test_default_output_matches_library_bytes(self, tmp_path, capsys):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from chamferkit import (
+    MAX_ABS_COORD,
     PointCloud,
     gen_shape,
     match_brute,
@@ -9,7 +13,7 @@ from chamferkit import (
     pair_sq,
     resolve_workers,
 )
-from chamferkit.matching import WORKERS_ENV_VAR
+from chamferkit.matching import _TIE_CHUNK_ROWS, _TIE_K, _TIE_RTOL, WORKERS_ENV_VAR
 
 from testutil import mixed_cloud, snapped_cloud, sorted_nearest, uniform_cloud
 
@@ -131,6 +135,78 @@ class TestMatchIndexed:
         full = gen_shape("sphere-surface", 1024, seed=3)
         partial = PointCloud(full.points[256:])
         assert_matches_equal(match_indexed(partial, full), match_brute(partial, full))
+
+
+def tied_rows(queries: PointCloud, target: PointCloud, k: int) -> np.ndarray:
+    """Queries whose k nearest targets all lie within the tie radius."""
+    dist, _ = cKDTree(target.points).query(queries.points, k=k)
+    return np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + _TIE_RTOL))
+
+
+class TestTieResolution:
+    def test_shifted_3d_lattice_takes_ball_fallback(self):
+        # interior cell centres are equidistant from 8 lattice corners,
+        # more than the bulk pass fetches, so those rows need the ball query
+        axis = np.arange(6.0)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        rng = np.random.default_rng(14)
+        a = PointCloud(lattice[rng.permutation(len(lattice))])
+        b = PointCloud((lattice + 0.5)[rng.permutation(len(lattice))])
+        assert len(tied_rows(a, b, _TIE_K)) > 0
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+
+    def test_duplicates_beyond_candidate_count(self):
+        rng = np.random.default_rng(15)
+        base = snapped_cloud(rng, 40, grid=0.5).points
+        repeated = np.repeat(base, _TIE_K + 2, axis=0)
+        target = PointCloud(repeated[rng.permutation(len(repeated))])
+        queries = PointCloud(np.vstack([base, uniform_cloud(rng, 60).points]))
+        assert len(tied_rows(queries, target, _TIE_K)) > 0
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+
+    def test_tied_rows_spanning_several_chunks(self):
+        n = 4096
+        side = int(np.sqrt(n))
+        grid = gen_shape("plane-grid", n, seed=0).points
+        half = 0.5 / (side - 1)
+        rng = np.random.default_rng(16)
+        a = PointCloud(grid[rng.permutation(n)])
+        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)])
+        assert len(tied_rows(a, b, 2)) > _TIE_CHUNK_ROWS
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+
+    @seed(20241223)
+    @settings(max_examples=60, deadline=2000, database=None)
+    @given(
+        st.integers(1, 120),
+        st.integers(1, 120),
+        st.sampled_from([0.25, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_snapped_clouds_property(self, n, m, grid, cloud_seed):
+        rng = np.random.default_rng(cloud_seed)
+        a = snapped_cloud(rng, n, grid=grid)
+        b = snapped_cloud(rng, m, grid=grid)
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+
+
+class TestCoordinateRange:
+    def test_limit_is_accepted_and_agrees(self):
+        a = PointCloud([[MAX_ABS_COORD, 0, 0], [0, 0, 0]])
+        b = PointCloud([[-MAX_ABS_COORD, -MAX_ABS_COORD, -MAX_ABS_COORD], [1, 1, 1]])
+        m = match_indexed(a, b)
+        assert_matches_equal(m, match_brute(a, b))
+        assert np.isfinite(m.fwd_sq).all() and np.isfinite(m.bwd_sq).all()
+
+    @pytest.mark.parametrize("big", [1e200, -1e155, 2 * MAX_ABS_COORD])
+    def test_beyond_limit_rejected_by_both(self, big):
+        a = PointCloud([[big, 0, 0], [0, 0, 0]])
+        b = PointCloud([[0, 0, 0], [1, 1, 1]])
+        for matcher in (match_indexed, match_brute):
+            with pytest.raises(ValueError, match="supported"):
+                matcher(a, b)
+            with pytest.raises(ValueError, match="supported"):
+                matcher(b, a)
 
 
 class TestResolveWorkers:
