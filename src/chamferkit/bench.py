@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import TransformSpec, _transform_sq, chamfer, chamfer_poincare
+from .distances import TransformSpec, chamfer, chamfer_poincare, transform
 from .matching import match_indexed
 
 BENCH_KINDS = ("l1", "l2", "exp", "hyper", "poincare")
@@ -102,8 +102,8 @@ def run_bench(
                         "transform",
                         n,
                         lambda s=spec, m=shared_match: (
-                            _transform_sq(s, m.fwd_sq),
-                            _transform_sq(s, m.bwd_sq),
+                            transform(s, np.sqrt(m.fwd_sq)),
+                            transform(s, np.sqrt(m.bwd_sq)),
                         ),
                     )
                 )

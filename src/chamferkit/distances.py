@@ -7,21 +7,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, as_point
-from .matching import _CHUNK_BYTES, MatchResult, match_indexed
+from .matching import MatchResult, _argmin_both, match_indexed, pair_sq
 
 TRANSFORM_KINDS = ("l1", "l2", "exp", "hyper")
 
 
+# Above this u, log(2) + log1p(u) is arccosh(1 + u) to within 1/(4*u*u),
+# far below one ulp, while u*(u + 2) overflows from about 1.3e154.
+_ACOSH1P_LOG_FROM = 1e150
+
+
 def acosh1p(u):
-    """arccosh(1 + u) for u >= 0, accurate down to u = 0.
+    """arccosh(1 + u) for u >= 0, accurate down to u = 0 and up to inf.
 
     Naive acosh(1 + u) loses half its digits below u ~ 1e-8; the
     equivalent log1p(u + sqrt(u*(u + 2))) keeps full relative accuracy.
+    Above u = 1e150 the asymptotic form log(2) + log1p(u) takes over, so
+    huge u stay finite.
     """
     u = np.asarray(u, dtype=np.float64)
     if not (u >= 0).all():
         raise ValueError("acosh1p requires u >= 0")
-    out = np.log1p(u + np.sqrt(u * (u + 2.0)))
+    big = u > _ACOSH1P_LOG_FROM
+    near = np.where(big, 0.0, u)
+    out = np.where(big, np.log(2.0) + np.log1p(u), np.log1p(near + np.sqrt(near * (near + 2.0))))
     return out if out.ndim else float(out)
 
 
@@ -74,22 +83,6 @@ def transform(spec: TransformSpec, d):
     return out if np.ndim(out) else float(out)
 
 
-def _transform_sq(spec: TransformSpec, sq: np.ndarray) -> np.ndarray:
-    """Transform squared distances without the round trip through sqrt.
-
-    For beta = 2 the hyper/exp arguments come straight from the squared
-    distance, which is exactly what the matchers store.
-    """
-    if spec.kind == "l1":
-        return np.sqrt(sq)
-    if spec.kind == "l2":
-        return sq
-    powered = sq if spec.beta == 2.0 else sq ** (spec.beta / 2.0)
-    if spec.kind == "exp":
-        return -np.expm1(-spec.alpha * powered)
-    return acosh1p(spec.alpha * powered)
-
-
 @dataclass(frozen=True)
 class SetDistanceReport:
     """value = d1 + d2, the two directed means, and the correspondence used."""
@@ -116,8 +109,8 @@ def chamfer(
     """
     if match is None:
         match = match_indexed(a, b, workers=workers)
-    d1 = float(np.mean(_transform_sq(spec, match.fwd_sq)))
-    d2 = float(np.mean(_transform_sq(spec, match.bwd_sq)))
+    d1 = float(np.mean(transform(spec, np.sqrt(match.fwd_sq))))
+    d2 = float(np.mean(transform(spec, np.sqrt(match.bwd_sq))))
     return SetDistanceReport(d1 + d2, d1, d2, match)
 
 
@@ -178,33 +171,14 @@ def chamfer_poincare(a: PointCloud, b: PointCloud) -> SetDistanceReport:
             )
     inv_a = 1.0 / (1.0 - an)
     inv_b = 1.0 / (1.0 - bn)
-    n, m = len(A), len(B)
-    fwd_idx = np.empty(n, dtype=np.int64)
-    fwd_u = np.empty(n)
-    bwd_idx = np.zeros(m, dtype=np.int64)
-    bwd_u = np.full(m, np.inf)
-    chunk = max(1, _CHUNK_BYTES // (m * 3 * 8))
-    for start in range(0, n, chunk):
-        rows = A[start : start + chunk]
-        diff = rows[:, None, :] - B[None, :, :]
-        sq = (diff * diff).sum(axis=2)
+
+    def ball_u(sq, rows):
         # u is a strictly increasing function of the geodesic, so mins and
         # argmins transfer; acosh is applied to the winners only
-        u = 2.0 * sq * (inv_a[start : start + len(rows), None] * inv_b[None, :])
-        idx = u.argmin(axis=1)
-        fwd_idx[start : start + len(rows)] = idx
-        fwd_u[start : start + len(rows)] = u[np.arange(len(rows)), idx]
-        col_min = u.min(axis=0)
-        col_idx = u.argmin(axis=0) + start
-        better = col_min < bwd_u
-        bwd_idx[better] = col_idx[better]
-        bwd_u[better] = col_min[better]
+        return 2.0 * sq * (inv_a[rows, None] * inv_b[None, :])
+
+    fwd_idx, fwd_u, bwd_idx, bwd_u = _argmin_both(A, B, ball_u)
     d1 = float(np.mean(acosh1p(fwd_u)))
     d2 = float(np.mean(acosh1p(bwd_u)))
-    match = MatchResult(
-        fwd_idx,
-        ((A - B[fwd_idx]) ** 2).sum(axis=1),
-        bwd_idx,
-        ((A[bwd_idx] - B) ** 2).sum(axis=1),
-    )
+    match = MatchResult(fwd_idx, pair_sq(A, B[fwd_idx]), bwd_idx, pair_sq(A[bwd_idx], B))
     return SetDistanceReport(d1 + d2, d1, d2, match)

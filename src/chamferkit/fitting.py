@@ -89,14 +89,13 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
         # finiteness checks below turn it into a DivergenceError
         with np.errstate(over="ignore"):
             match = match_indexed(cloud, target)
-            report = chamfer(cloud, target, config.spec, match=match)
-            if not np.isfinite(report.value):
-                raise DivergenceError(epoch, f"loss is {report.value}")
-            losses[epoch] = report.value
+            grad = chamfer_gradient(cloud, target, config.spec, match=match)
+            if not np.isfinite(grad.loss_value):
+                raise DivergenceError(epoch, f"loss is {grad.loss_value}")
+            losses[epoch] = grad.loss_value
             l1_cd[epoch] = chamfer(cloud, target, _L1_SPEC, match=match).value
             if epoch in wanted:
                 snapshots.append((epoch, cloud, match))
-            grad = chamfer_gradient(cloud, target, config.spec, match=match)
             current = current - config.learning_rate * grad.vectors
         if not (np.abs(current) <= MAX_ABS_COORD).all():  # NaN fails too
             raise DivergenceError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import TransformSpec, chamfer, transform
+from .distances import TransformSpec, _checked_distances, chamfer, transform
 from .matching import MatchResult, match_brute, match_indexed
 
 # A configuration counts as smooth when every matched distance clears this
@@ -35,9 +35,7 @@ def weight_z(d, alpha: float = 1.0):
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    arr = np.asarray(d, dtype=np.float64)
-    if not (arr >= 0).all():
-        raise ValueError("distances must be non-negative")
+    arr = _checked_distances(d)
     out = np.sqrt(2.0 * alpha) / np.sqrt(1.0 + alpha * arr * arr / 2.0)
     return out if out.ndim else float(out)
 
@@ -51,9 +49,7 @@ def transform_derivative(spec: TransformSpec, d):
     curve has a vertical tangent (beta < 2 for 'hyper', beta < 1 for
     'exp').
     """
-    arr = np.asarray(d, dtype=np.float64)
-    if not (arr >= 0).all():
-        raise ValueError("distances must be non-negative")
+    arr = _checked_distances(d)
     if spec.kind == "l1":
         out = np.where(arr > 0, 1.0, 0.0)
     elif spec.kind == "l2":
@@ -187,13 +183,6 @@ class CurveRow:
     grad_normalized: float | None
 
 
-@dataclass(frozen=True)
-class WeightCurveSample:
-    d: float
-    weight: float
-    normalized_weight: float
-
-
 def default_curve_specs() -> list[TransformSpec]:
     """The stock comparison family: identity, square, two saturating
     exponentials, and three hyperbolic growth rates, all at alpha = 1."""
@@ -251,16 +240,6 @@ def sample_curves(
                 )
             )
     return rows
-
-
-def sample_weight_curve(alpha: float, d_grid) -> list[WeightCurveSample]:
-    """Sample the gradient weight and its sqrt(2*alpha)-normalized form."""
-    d = _checked_grid(d_grid)
-    z = np.atleast_1d(weight_z(d, alpha))
-    zn = z / np.sqrt(2.0 * alpha)
-    return [
-        WeightCurveSample(float(d[i]), float(z[i]), float(zn[i])) for i in range(d.size)
-    ]
 
 
 def write_curves_csv(rows: list[CurveRow], path) -> None:

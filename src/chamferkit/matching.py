@@ -115,30 +115,38 @@ def match_brute(a: PointCloud, b: PointCloud) -> MatchResult:
     Raises ValueError if a coordinate exceeds MAX_ABS_COORD in magnitude.
     """
     _check_range(a, b)
-    fwd_idx, fwd_sq, bwd_idx, bwd_sq = _brute_nearest_both(a.points, b.points)
-    return MatchResult(fwd_idx, fwd_sq, bwd_idx, bwd_sq)
+    return MatchResult(*_argmin_both(a.points, b.points))
 
 
-def _brute_nearest_both(A: np.ndarray, B: np.ndarray):
+def _argmin_both(A: np.ndarray, B: np.ndarray, score=None):
+    """Chunked two-way argmin over all pairs of rows of A and B.
+
+    Minimizes the canonical squared distances, or score(sq, rows) of
+    them when given, where rows is the slice of A the chunk covers.
+    Returns (fwd_idx, fwd_min, bwd_idx, bwd_min); ties go to the lowest
+    index in both directions.
+    """
     n, m = len(A), len(B)
     fwd_idx = np.empty(n, dtype=np.int64)
-    fwd_sq = np.empty(n)
+    fwd_min = np.empty(n)
     bwd_idx = np.zeros(m, dtype=np.int64)
-    bwd_sq = np.full(m, np.inf)
+    bwd_min = np.full(m, np.inf)
     chunk = max(1, _CHUNK_BYTES // (m * 3 * 8))
     for start in range(0, n, chunk):
-        rows = A[start : start + chunk]
-        diff = rows[:, None, :] - B[None, :, :]
-        sq = (diff * diff).sum(axis=2)
-        idx = sq.argmin(axis=1)  # argmin takes the first (lowest) index on ties
-        fwd_idx[start : start + len(rows)] = idx
-        fwd_sq[start : start + len(rows)] = sq[np.arange(len(rows)), idx]
-        col_min = sq.min(axis=0)
-        col_idx = sq.argmin(axis=0) + start
-        better = col_min < bwd_sq  # strict, so earlier (lower) rows keep ties
+        rows = slice(start, min(start + chunk, n))
+        diff = A[rows, None, :] - B[None, :, :]
+        val = (diff * diff).sum(axis=2)
+        if score is not None:
+            val = score(val, rows)
+        idx = val.argmin(axis=1)  # argmin takes the first (lowest) index on ties
+        fwd_idx[rows] = idx
+        fwd_min[rows] = val[np.arange(len(idx)), idx]
+        col_min = val.min(axis=0)
+        col_idx = val.argmin(axis=0) + start
+        better = col_min < bwd_min  # strict, so earlier (lower) rows keep ties
         bwd_idx[better] = col_idx[better]
-        bwd_sq[better] = col_min[better]
-    return fwd_idx, fwd_sq, bwd_idx, bwd_sq
+        bwd_min[better] = col_min[better]
+    return fwd_idx, fwd_min, bwd_idx, bwd_min
 
 
 def match_indexed(a: PointCloud, b: PointCloud, workers: int | None = None) -> MatchResult:

@@ -103,6 +103,14 @@ class TestDistance:
         assert main(["distance", str(fa), str(fb)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_hyper_at_the_range_limit_is_finite(self, tmp_path, capsys):
+        fa = tmp_path / "far.xyz"
+        fb = tmp_path / "small.xyz"
+        write_xyz(fa, [[1e150, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        write_xyz(fb, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert main(["distance", str(fa), str(fb), "--kind", "hyper"]) == 0
+        assert np.isfinite(float(stdout_fields(capsys.readouterr().out)["value"]))
+
 
 class TestCurves:
     def test_default_output_matches_library_bytes(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from chamferkit import (
     chamfer_poincare,
     clip_to_ball,
     match_brute,
+    pair_sq,
     poincare_distance,
     transform,
 )
+from chamferkit import matching
 
-from testutil import ball_cloud, mixed_cloud, naive_chamfer, uniform_cloud
+from testutil import ball_cloud, mixed_cloud, naive_chamfer, snapped_cloud, uniform_cloud
 
 ALL_KINDS = [
     TransformSpec("l1"),
@@ -116,6 +120,15 @@ class TestTransform:
         # small-u regime is checked against the series expansion instead)
         u = np.logspace(-1, 6, 100)
         np.testing.assert_allclose(acosh1p(u), np.arccosh(1.0 + u), rtol=1e-14)
+
+    def test_acosh1p_beyond_the_square_overflow(self):
+        # u * (u + 2) overflows from about 1.3e154; the log form takes over
+        expected = math.acosh(1.0 + 1e160)
+        assert abs(acosh1p(1e160) - expected) <= 1e-15 * expected
+        assert acosh1p(np.inf) == np.inf
+        u = np.array([1e150, np.nextafter(1e150, np.inf), 1e200, 1e308])
+        expected = [math.acosh(1.0 + x) for x in u]
+        np.testing.assert_allclose(acosh1p(u), expected, rtol=1e-15)
 
 
 class TestPoincareDistance:
@@ -294,3 +307,31 @@ class TestChamferPoincare:
         assert chamfer_poincare(a, b).value == pytest.approx(
             chamfer_poincare(b, a).value, rel=1e-12
         )
+
+    @pytest.mark.parametrize("shift", [0.0, 0.0625])
+    def test_tied_scan_over_chunks_matches_full_matrix(self, monkeypatch, shift):
+        # snapped clouds tie exactly: duplicates, and lattice points of
+        # equal norm at equal distance
+        rng = np.random.default_rng(32)
+        a = PointCloud(snapped_cloud(rng, 60).points * 0.5)
+        b = PointCloud(a.points[rng.permutation(len(a))] + [shift, 0.0, 0.0])
+        rows_per_chunk = 7
+        monkeypatch.setattr(matching, "_CHUNK_BYTES", rows_per_chunk * len(b) * 3 * 8)
+        assert len(a) >= 3 * rows_per_chunk
+
+        A, B = a.points, b.points
+        inv_a = 1.0 / (1.0 - (A * A).sum(axis=1))
+        inv_b = 1.0 / (1.0 - (B * B).sum(axis=1))
+        diff = A[:, None, :] - B[None, :, :]
+        u = 2.0 * (diff * diff).sum(axis=2) * (inv_a[:, None] * inv_b[None, :])
+        assert ((u == u.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        assert ((u == u.min(axis=0, keepdims=True)).sum(axis=0) > 1).any()
+
+        rep = chamfer_poincare(a, b)
+        m = rep.match
+        np.testing.assert_array_equal(m.fwd_idx, u.argmin(axis=1))
+        np.testing.assert_array_equal(m.bwd_idx, u.argmin(axis=0))
+        assert np.array_equal(m.fwd_sq, pair_sq(A, B[m.fwd_idx]))
+        assert np.array_equal(m.bwd_sq, pair_sq(A[m.bwd_idx], B))
+        assert rep.d1 == float(np.mean(acosh1p(u.min(axis=1))))
+        assert rep.d2 == float(np.mean(acosh1p(u.min(axis=0))))

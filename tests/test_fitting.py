@@ -9,10 +9,12 @@ from chamferkit import (
     PointCloud,
     TransformSpec,
     chamfer,
+    chamfer_gradient,
     export_correspondences,
     fit,
     gen_shape,
     jitter_cloud,
+    match_indexed,
     sweep_alpha_lr,
     write_loss_csv,
     write_sweep_csv,
@@ -114,6 +116,27 @@ class TestFit:
         np.testing.assert_array_equal(t1.losses, t2.losses)
         assert t1.final_cloud == t2.final_cloud
         assert t1.final_l1_cd == t2.final_l1_cd
+
+    def test_matches_hand_loop_bitwise(self):
+        # fit is the loop below and nothing more; traced replays of fit
+        # rebuild it from these public calls and must get the same bits
+        initial, target = jittered_sphere()
+        lr, epochs = 0.05, 3
+        traj = fit(initial, target, FitConfig(spec=HYPER, learning_rate=lr, epochs=epochs))
+        current = initial.points.copy()
+        losses, l1_cd = [], []
+        for _ in range(epochs):
+            cloud = PointCloud(current)
+            match = match_indexed(cloud, target)
+            losses.append(chamfer(cloud, target, HYPER, match=match).value)
+            l1_cd.append(chamfer(cloud, target, L1, match=match).value)
+            grad = chamfer_gradient(cloud, target, HYPER, match=match)
+            current = current - lr * grad.vectors
+        assert np.array_equal(traj.losses, losses)
+        assert np.array_equal(traj.l1_cd, l1_cd)
+        assert np.array_equal(traj.final_cloud.points, current)
+        final = PointCloud(current)
+        assert traj.final_l1_cd == chamfer(final, target, L1, match=match_indexed(final, target)).value
 
     def test_snapshots(self):
         noisy, clean = jittered_sphere(n=32)

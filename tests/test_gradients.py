@@ -12,7 +12,6 @@ from chamferkit import (
     finite_diff_gradient,
     is_smooth_config,
     sample_curves,
-    sample_weight_curve,
     transform,
     transform_derivative,
     weight_z,
@@ -296,19 +295,3 @@ class TestSampleCurves:
                 assert raw[6] == ""
             else:
                 assert float(raw[6]) == row.grad_normalized
-
-
-class TestWeightCurve:
-    def test_samples_match_weight_z(self):
-        grid = np.linspace(0, 5, 30)
-        samples = sample_weight_curve(2.0, grid)
-        assert len(samples) == 30
-        for s, d in zip(samples, grid):
-            assert s.d == d
-            assert s.weight == weight_z(float(d), 2.0)
-            assert s.normalized_weight == pytest.approx(s.weight / np.sqrt(4.0), rel=1e-15)
-
-    def test_invariants(self):
-        samples = sample_weight_curve(3.7, np.linspace(0, 20, 100))
-        assert all(s.weight > 0 for s in samples)
-        assert all(s.normalized_weight <= 1 + 1e-12 for s in samples)
