@@ -59,7 +59,6 @@ def run_bench(
     repeats: int = 10,
     warmup: int = 2,
     seed: int = 0,
-    workers: int | None = None,
 ) -> BenchReport:
     """Benchmark each kind at each (n, n) size; returns mean and std per config.
 
@@ -82,20 +81,13 @@ def run_bench(
     for n in sizes:
         a = _bench_cloud(rng, n)
         b = _bench_cloud(rng, n)
-        shared_match = match_indexed(a, b, workers=workers)
+        shared_match = match_indexed(a, b)
         for kind in kinds:
             if kind == "poincare":
                 configs.append((kind, "full", n, lambda a=a, b=b: chamfer_poincare(a, b)))
             else:
                 spec = TransformSpec(kind)
-                configs.append(
-                    (
-                        kind,
-                        "full",
-                        n,
-                        lambda a=a, b=b, s=spec, w=workers: chamfer(a, b, s, workers=w),
-                    )
-                )
+                configs.append((kind, "full", n, lambda a=a, b=b, s=spec: chamfer(a, b, s)))
                 configs.append(
                     (
                         kind,

@@ -30,7 +30,6 @@ from .fitting import (
 )
 from .gradients import default_curve_specs, sample_curves, write_curves_csv
 from .io import FORMATS, read_cloud, write_cloud
-from .matching import WORKERS_ENV_VAR
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,21 +37,13 @@ EXIT_DATA = 2
 EXIT_IO = 3
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, cast=float) -> list:
+    """Comma-separated values of flag, each converted with cast."""
+    noun = "integers" if cast is int else "numbers"
     try:
-        values = [float(t) for t in text.split(",") if t.strip() != ""]
+        values = [cast(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} expects at least one value")
-    return values
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} expects at least one value")
     return values
@@ -81,8 +72,8 @@ def cmd_curves(args) -> int:
         specs = default_curve_specs()
     else:
         kinds = (args.kinds or "hyper").split(",")
-        alphas = _parse_floats(args.alphas or "1", "--alphas")
-        betas = _parse_floats(args.betas or "2", "--betas")
+        alphas = _parse_list(args.alphas or "1", "--alphas")
+        betas = _parse_list(args.betas or "2", "--betas")
         specs = []
         for kind in kinds:
             if kind not in TRANSFORM_KINDS:
@@ -106,7 +97,7 @@ def cmd_curves(args) -> int:
 def cmd_fit(args) -> int:
     initial = read_cloud(args.file_init, args.format)
     target = read_cloud(args.file_target, args.format)
-    snapshots = tuple(_parse_ints(args.snapshots, "--snapshots")) if args.snapshots else ()
+    snapshots = tuple(_parse_list(args.snapshots, "--snapshots", int)) if args.snapshots else ()
     config = FitConfig(
         spec=_spec_from_args(args),
         learning_rate=args.lr,
@@ -137,8 +128,8 @@ def cmd_sweep(args) -> int:
     result = sweep_alpha_lr(
         initial,
         target,
-        _parse_floats(args.alphas, "--alphas"),
-        _parse_floats(args.lrs, "--lrs"),
+        _parse_list(args.alphas, "--alphas"),
+        _parse_list(args.lrs, "--lrs"),
         epochs=args.epochs,
     )
     write_sweep_csv(result, args.out)
@@ -172,7 +163,7 @@ def cmd_gen(args) -> int:
     if args.crop_k is not None:
         if args.viewpoint is None:
             raise ValueError("--crop-k requires --viewpoint")
-        vp = _parse_floats(args.viewpoint, "--viewpoint")
+        vp = _parse_list(args.viewpoint, "--viewpoint")
         if len(vp) != 3:
             raise ValueError("--viewpoint expects three comma-separated coordinates")
         partial = partial_view_crop(cloud, vp, args.crop_k)
@@ -185,7 +176,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     report = bench_mod.run_bench(
-        sizes=_parse_ints(args.sizes, "--sizes"),
+        sizes=_parse_list(args.sizes, "--sizes", int),
         kinds=tuple(args.kinds.split(",")),
         repeats=args.repeats,
         warmup=args.warmup,
@@ -217,11 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chamferkit",
         description="Chamfer-style point-cloud set distances and fitting tools",
-    )
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="force single-threaded matching regardless of environment",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -322,8 +308,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 for --help, 2 for usage errors
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if args.serial:
-        os.environ[WORKERS_ENV_VAR] = "1"
     try:
         return args.func(args)
     except OSError as exc:

@@ -69,17 +69,31 @@ def _checked_distances(d) -> np.ndarray:
     return arr
 
 
+def _power(spec: TransformSpec, arr: np.ndarray) -> np.ndarray:
+    """u = alpha * d**beta, inf (without a warning) where it overflows."""
+    with np.errstate(over="ignore"):
+        return spec.alpha * arr**spec.beta
+
+
 def transform(spec: TransformSpec, d):
-    """Apply spec's transform elementwise to raw distances d >= 0."""
+    """Apply spec's transform elementwise to raw distances d >= 0.
+
+    Where u = alpha * d**beta overflows, 'exp' is exactly 1 and 'hyper'
+    is log(2) + log(alpha) + beta*log(d), which equals arccosh(1 + u) to
+    far below one ulp there.
+    """
     arr = _checked_distances(d)
     if spec.kind == "l1":
         out = arr.copy()
     elif spec.kind == "l2":
         out = arr * arr
     elif spec.kind == "exp":
-        out = -np.expm1(-spec.alpha * arr**spec.beta)
+        out = -np.expm1(-_power(spec, arr))
     else:
-        out = acosh1p(spec.alpha * arr**spec.beta)
+        u = _power(spec, arr)
+        with np.errstate(divide="ignore"):
+            far = np.log(2.0) + np.log(spec.alpha) + spec.beta * np.log(arr)
+        out = np.where(np.isinf(u), far, acosh1p(u))
     return out if np.ndim(out) else float(out)
 
 
@@ -98,7 +112,6 @@ def chamfer(
     b: PointCloud,
     spec: TransformSpec,
     match: MatchResult | None = None,
-    workers: int | None = None,
 ) -> SetDistanceReport:
     """Symmetric Chamfer-style set distance under spec's transform.
 
@@ -108,7 +121,7 @@ def chamfer(
     across several transforms.
     """
     if match is None:
-        match = match_indexed(a, b, workers=workers)
+        match = match_indexed(a, b)
     d1 = float(np.mean(transform(spec, np.sqrt(match.fwd_sq))))
     d2 = float(np.mean(transform(spec, np.sqrt(match.bwd_sq))))
     return SetDistanceReport(d1 + d2, d1, d2, match)

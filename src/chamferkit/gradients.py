@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import TransformSpec, _checked_distances, chamfer, transform
+from .distances import TransformSpec, _checked_distances, _power, chamfer, transform
 from .matching import MatchResult, match_brute, match_indexed
 
 # A configuration counts as smooth when every matched distance clears this
@@ -47,26 +47,30 @@ def transform_derivative(spec: TransformSpec, d):
     (0 for 'l1' by the subgradient convention, 0 for 'l2', the finite
     limit sqrt(2*alpha) for 'hyper' with beta = 2) and inf where the
     curve has a vertical tangent (beta < 2 for 'hyper', beta < 1 for
-    'exp').
+    'exp'). Far out, where u = alpha * d**beta overflows, 'exp' returns
+    its limit 0 and 'hyper' its asymptote beta/d, both finite.
     """
     arr = _checked_distances(d)
-    if spec.kind == "l1":
-        out = np.where(arr > 0, 1.0, 0.0)
-    elif spec.kind == "l2":
-        out = 2.0 * arr
-    elif spec.kind == "exp":
-        a, b = spec.alpha, spec.beta
-        with np.errstate(divide="ignore"):
-            out = a * b * arr ** (b - 1.0) * np.exp(-a * arr**b)
-    else:
-        a, b = spec.alpha, spec.beta
-        if b == 2.0:
-            out = np.asarray(weight_z(arr, a))  # t' at beta = 2 IS the weight
+    a, b = spec.alpha, spec.beta
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.kind == "l1":
+            out = np.where(arr > 0, 1.0, 0.0)
+        elif spec.kind == "l2":
+            out = 2.0 * arr
+        elif spec.kind == "exp":
+            # 0 where exp(-u) underflows: the decay beats any power of d
+            e = np.exp(-_power(spec, arr))
+            out = np.where(e > 0, a * b * arr ** (b - 1.0) * e, 0.0)
         else:
-            # beta*sqrt(alpha)*d^(beta/2-1) / sqrt(alpha*d^beta + 2),
-            # the cancellation-free rearrangement of the raw quotient
-            with np.errstate(divide="ignore"):
-                out = b * np.sqrt(a) * arr ** (b / 2.0 - 1.0) / np.sqrt(a * arr**b + 2.0)
+            u = _power(spec, arr)
+            if b == 2.0:
+                out = np.asarray(weight_z(arr, a))  # t' at beta = 2 IS the weight
+            else:
+                # beta*sqrt(alpha)*d^(beta/2-1) / sqrt(alpha*d^beta + 2),
+                # the cancellation-free rearrangement of the raw quotient
+                out = b * np.sqrt(a) * arr ** (b / 2.0 - 1.0) / np.sqrt(u + 2.0)
+            # where u overflows the quotient is beta/d to far below one ulp
+            out = np.where(np.isinf(u), b / arr, out)
     return out if np.ndim(out) else float(out)
 
 
@@ -83,7 +87,6 @@ def chamfer_gradient(
     target: PointCloud,
     spec: TransformSpec,
     match: MatchResult | None = None,
-    workers: int | None = None,
 ) -> GradientField:
     """Gradient of chamfer(movable, target, spec) in the movable points.
 
@@ -95,7 +98,7 @@ def chamfer_gradient(
     nothing.
     """
     if match is None:
-        match = match_indexed(movable, target, workers=workers)
+        match = match_indexed(movable, target)
     A, B = movable.points, target.points
     n, m = len(A), len(B)
 
@@ -222,8 +225,7 @@ def sample_curves(
     rows: list[CurveRow] = []
     for spec in specs:
         values = np.atleast_1d(transform(spec, d))
-        with np.errstate(divide="ignore"):
-            grads = np.atleast_1d(transform_derivative(spec, d))
+        grads = np.atleast_1d(transform_derivative(spec, d))
         norm = None
         if normalize and spec.kind == "hyper" and spec.beta == 2.0:
             norm = grads / np.sqrt(2.0 * spec.alpha)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import islice
 
 import numpy as np
 
@@ -16,6 +17,16 @@ from .cloud import PointCloud
 FORMATS = ("xyz", "ply-ascii")
 
 _SUFFIX_FORMATS = {".xyz": "xyz", ".ply": "ply-ascii"}
+
+_PLY_HEADER = (
+    "ply\n"
+    "format ascii 1.0\n"
+    "element vertex {}\n"
+    "property float x\n"
+    "property float y\n"
+    "property float z\n"
+    "end_header\n"
+)
 
 
 class ParseError(ValueError):
@@ -51,10 +62,11 @@ def read_cloud(path, format: str | None = None) -> PointCloud:
 
 def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
     fmt = _resolve_format(path, format)
-    if fmt == "xyz":
-        _write_xyz(cloud, path)
-    else:
-        _write_ply(cloud, path)
+    with open(path, "w", encoding="ascii") as fh:
+        if fmt == "ply-ascii":
+            fh.write(_PLY_HEADER.format(len(cloud)))
+        for x, y, z in cloud.points:
+            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
 
 
 def _parse_coord(path, lineno: int, token: str) -> float:
@@ -67,28 +79,30 @@ def _parse_coord(path, lineno: int, token: str) -> float:
     return value
 
 
-def _read_xyz(path) -> PointCloud:
+def _parse_rows(path, numbered_lines, width: int, cols) -> np.ndarray:
+    """Parse (lineno, line) pairs into an (n, 3) array, skipping blank lines.
+
+    Every other line must hold width values; cols picks x, y and z.
+    """
     pts = []
-    lineno = 0
+    for lineno, line in numbered_lines:
+        fields = line.split()
+        if not fields:
+            continue  # blank lines tolerated
+        if len(fields) != width:
+            raise ParseError(path, lineno, f"expected {width} values, got {len(fields)}")
+        # one flat list: per-row lists would be live objects the garbage
+        # collector keeps rescanning while the file is read
+        pts += [_parse_coord(path, lineno, fields[c]) for c in cols]
+    return np.array(pts).reshape(-1, 3)
+
+
+def _read_xyz(path) -> PointCloud:
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue  # blank lines tolerated
-            if len(fields) != 3:
-                raise ParseError(
-                    path, lineno, f"expected 3 coordinates, got {len(fields)}"
-                )
-            pts.append([_parse_coord(path, lineno, t) for t in fields])
-    if not pts:
+        pts = _parse_rows(path, enumerate(fh, start=1), 3, (0, 1, 2))
+    if not len(pts):
         raise ParseError(path, 0, "file contains no points")
-    return PointCloud(np.array(pts))
-
-
-def _write_xyz(cloud: PointCloud, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+    return PointCloud(pts)
 
 
 def _read_ply(path) -> PointCloud:
@@ -161,41 +175,14 @@ def _read_ply(path) -> PointCloud:
             path, lineno, f"vertex element lacks x/y/z properties (has {props})"
         ) from None
 
-    data = [
-        (no, raw)
-        for no, raw in enumerate(lines[lineno:], start=lineno + 1)
-        if raw.split()
-    ]
-    cursor = 0
-    pts = None
+    body = (
+        (no, raw) for no, raw in enumerate(lines[lineno:], start=lineno + 1) if raw.strip()
+    )
     for name, count, eprops in elements:
-        if cursor + count > len(data):
+        rows = islice(body, count)
+        pts = _parse_rows(path, rows, len(eprops), cols) if name == "vertex" else list(rows)
+        if len(pts) < count:
             raise ParseError(path, len(lines), f"file ends inside element {name!r}")
         if name == "vertex":
-            pts = np.empty((count, 3))
-            for i, (row_no, raw) in enumerate(data[cursor : cursor + count]):
-                fields = raw.split()
-                if len(fields) != len(eprops):
-                    raise ParseError(
-                        path,
-                        row_no,
-                        f"expected {len(eprops)} values on vertex row, got {len(fields)}",
-                    )
-                for j, c in enumerate(cols):
-                    pts[i, j] = _parse_coord(path, row_no, fields[c])
-            break  # remaining elements carry no point data
-        cursor += count
-    return PointCloud(pts)
+            return PointCloud(pts)  # remaining elements carry no point data
 
-
-def _write_ply(cloud: PointCloud, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write(f"element vertex {len(cloud)}\n")
-        fh.write("property float x\n")
-        fh.write("property float y\n")
-        fh.write("property float z\n")
-        fh.write("end_header\n")
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")

@@ -21,15 +21,12 @@ outside that range are rejected with ValueError.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-
-WORKERS_ENV_VAR = "CHAMFERKIT_WORKERS"
 
 # Largest supported |coordinate|. Two points within it are at most
 # sqrt(12) * MAX_ABS_COORD apart, so squared distances stay below 1.2e301,
@@ -74,28 +71,6 @@ def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     """Canonical squared distance between aligned rows of two (N, 3) arrays."""
     diff = points_a - points_b
     return (diff * diff).sum(axis=-1)
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker-thread count for the accelerated route.
-
-    Explicit argument wins, then the CHAMFERKIT_WORKERS environment
-    variable, then 1. -1 means all cores (passed through to the index).
-    """
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-        else:
-            workers = 1
-    if workers == 0 or workers < -1:
-        raise ValueError(f"workers must be a positive count or -1, got {workers}")
-    return workers
 
 
 def _check_range(a: PointCloud, b: PointCloud) -> None:
@@ -149,7 +124,7 @@ def _argmin_both(A: np.ndarray, B: np.ndarray, score=None):
     return fwd_idx, fwd_min, bwd_idx, bwd_min
 
 
-def match_indexed(a: PointCloud, b: PointCloud, workers: int | None = None) -> MatchResult:
+def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     """Spatial-index matching, index-exact with match_brute.
 
     The index does not promise any tie order, so queries whose two
@@ -161,16 +136,15 @@ def match_indexed(a: PointCloud, b: PointCloud, workers: int | None = None) -> M
     MAX_ABS_COORD in magnitude, as match_brute does.
     """
     _check_range(a, b)
-    w = resolve_workers(workers)
-    fwd_idx, fwd_sq = _indexed_nearest(a.points, b.points, w)
-    bwd_idx, bwd_sq = _indexed_nearest(b.points, a.points, w)
+    fwd_idx, fwd_sq = _indexed_nearest(a.points, b.points)
+    bwd_idx, bwd_sq = _indexed_nearest(b.points, a.points)
     return MatchResult(fwd_idx, fwd_sq, bwd_idx, bwd_sq)
 
 
-def _indexed_nearest(Q: np.ndarray, T: np.ndarray, workers: int):
+def _indexed_nearest(Q: np.ndarray, T: np.ndarray):
     tree = cKDTree(T)
     k = min(2, len(T))
-    dist, idx = tree.query(Q, k=k, workers=workers)
+    dist, idx = tree.query(Q, k=k)
     if k == 1:
         best = np.zeros(len(Q), dtype=np.int64)  # single candidate, nothing to break
     else:
@@ -180,11 +154,11 @@ def _indexed_nearest(Q: np.ndarray, T: np.ndarray, workers: int):
         # by its own rounding; 1e-9 is far above kd arithmetic error
         ambiguous = gap <= _TIE_RTOL * dist[:, 0]
         if ambiguous.any():
-            _resolve_ties(tree, Q, T, np.flatnonzero(ambiguous), best, workers)
+            _resolve_ties(tree, Q, T, np.flatnonzero(ambiguous), best)
     return best, pair_sq(Q, T[best])
 
 
-def _resolve_ties(tree, Q, T, queries, best, workers):
+def _resolve_ties(tree, Q, T, queries, best):
     """Set best[q], for each tied query q, to the lowest index among its
     exact nearest targets.
 
@@ -194,7 +168,7 @@ def _resolve_ties(tree, Q, T, queries, best, workers):
     k = min(_TIE_K, len(T))
     for start in range(0, len(queries), _TIE_CHUNK_ROWS):
         rows = queries[start : start + _TIE_CHUNK_ROWS]
-        dist, idx = tree.query(Q[rows], k=k, workers=workers)
+        dist, idx = tree.query(Q[rows], k=k)
         radii = dist[:, 0] * (1.0 + _TIE_RTOL)
         inside = dist <= radii[:, None]
         sq = np.where(inside, pair_sq(Q[rows, None, :], T[idx]), np.inf)
@@ -202,7 +176,7 @@ def _resolve_ties(tree, Q, T, queries, best, workers):
         best[rows] = np.where(exact, idx, len(T)).min(axis=1)
         spill = inside[:, -1]
         if spill.any():
-            hits = tree.query_ball_point(Q[rows[spill]], radii[spill], workers=workers)
+            hits = tree.query_ball_point(Q[rows[spill]], radii[spill])
             for q, cand in zip(rows[spill], hits):
                 cand = np.asarray(cand, dtype=np.int64)
                 sq_q = pair_sq(Q[q], T[cand])

@@ -1,5 +1,5 @@
 import csv
-import os
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from chamferkit import (
     PointCloud,
     TransformSpec,
-    WORKERS_ENV_VAR,
     chamfer,
     chamfer_poincare,
     default_curve_specs,
@@ -111,6 +110,22 @@ class TestDistance:
         assert main(["distance", str(fa), str(fb), "--kind", "hyper"]) == 0
         assert np.isfinite(float(stdout_fields(capsys.readouterr().out)["value"]))
 
+    def test_hyper_beta3_at_the_range_limit_is_exact(self, tmp_path, capsys):
+        # alpha * d**3 overflows at d = 1e150; arccosh(1 + u) = log(2u) there
+        fa = tmp_path / "far.xyz"
+        fb = tmp_path / "small.xyz"
+        write_xyz(fa, [[1e150, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        write_xyz(fb, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert main(["distance", str(fa), str(fb), "--kind", "hyper", "--beta", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        fields = stdout_fields(captured.out)
+        d1 = (math.log(2.0) + 450.0 * math.log(10.0)) / 2.0
+        d2 = math.acosh(1.0 + 3.0**1.5) / 2.0
+        assert float(fields["d1"]) == pytest.approx(d1, rel=1e-15)
+        assert float(fields["d2"]) == pytest.approx(d2, rel=1e-15)
+        assert float(fields["value"]) == pytest.approx(519.683469234551, rel=1e-14)
+
 
 class TestCurves:
     def test_default_output_matches_library_bytes(self, tmp_path, capsys):
@@ -150,6 +165,16 @@ class TestCurves:
         assert main(["curves", "--steps", "1", "--out", out]) == 2
         assert main(["curves", "--dmax", "0", "--out", out]) == 2
         assert main(["curves", "--alphas", "1,zap", "--out", out]) == 2
+
+    def test_steep_curves_stay_finite_far_out(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(
+            ["curves", "--kinds", "hyper,exp", "--betas", "3", "--dmax", "1e110",
+             "--out", str(out)]
+        ) == 0
+        text = out.read_text()
+        assert "inf" not in text and "nan" not in text
+        assert capsys.readouterr().err == ""
 
 
 class TestFit:
@@ -365,8 +390,12 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["transmogrify"]) == 1
 
-    def test_serial_flag_pins_worker_env(self, pair_files, capsys, monkeypatch):
+    def test_serial_flag_is_gone(self, pair_files, capsys):
         fa, fb, _, _ = pair_files
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert main(["--serial", "distance", str(fa), str(fb)]) == 0
-        assert os.environ[WORKERS_ENV_VAR] == "1"
+        assert main(["--serial", "distance", str(fa), str(fb)]) == 1
+
+    def test_worker_env_var_is_ignored(self, pair_files, capsys, monkeypatch):
+        fa, fb, _, _ = pair_files
+        monkeypatch.setenv("CHAMFERKIT_WORKERS", "many")
+        assert main(["distance", str(fa), str(fb)]) == 0
+        assert capsys.readouterr().err == ""

@@ -130,6 +130,33 @@ class TestTransform:
         expected = [math.acosh(1.0 + x) for x in u]
         np.testing.assert_allclose(acosh1p(u), expected, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,d",
+        [(1.0, 3.0, 1e103), (1.0, 8.0, 1e103), (0.5, 3.0, 3.5e150), (1e10, 2.0, 3.5e150)],
+    )
+    def test_hyper_where_the_power_overflows(self, alpha, beta, d):
+        # alpha * d**beta overflows; arccosh(1 + u) = log(2) + log(u) there
+        spec = TransformSpec("hyper", alpha, beta)
+        expected = math.log(2.0) + math.log(alpha) + beta * math.log(d)
+        assert transform(spec, d) == pytest.approx(expected, rel=1e-15)
+        assert transform(spec, np.inf) == np.inf
+
+    def test_hyper_continuous_across_the_overflow(self):
+        # d**3 is finite at the first distance and overflows at the second;
+        # the two branches must differ by exactly the curve's own growth
+        spec = TransformSpec("hyper", 1.0, 3.0)
+        below, above = 5.6e102, 5.65e102
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.float64(below) ** 3) and np.isinf(np.float64(above) ** 3)
+        step = transform(spec, above) - transform(spec, below)
+        assert step == pytest.approx(3.0 * math.log(above / below), abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [3.0, 4.0])
+    def test_exp_saturates_where_the_power_overflows(self, beta):
+        spec = TransformSpec("exp", 1.0, beta)
+        assert transform(spec, 1e103) == 1.0
+        assert transform(spec, np.inf) == 1.0
+
 
 class TestPoincareDistance:
     def test_coincident_zero(self):

@@ -146,6 +146,24 @@ class TestPly:
         with pytest.raises(ParseError, match="ends inside"):
             read_cloud(p)
 
+    def test_body_errors_name_the_file_line(self, tmp_path):
+        # blank lines and a preceding element's rows still count toward
+        # the reported line number
+        p = tmp_path / "lines.ply"
+        header = (
+            "ply\nformat ascii 1.0\n"
+            "element edge 1\nproperty int a\nproperty int b\n"
+            "element vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n"
+        )
+        p.write_text(header + "\n0 1\n\n1 0 0\n0 nan 0\n")
+        with pytest.raises(ParseError, match=r":15: non-finite"):
+            read_cloud(p)
+        p.write_text(header + "0 1\n1 0 0\n\n0 0\n")
+        with pytest.raises(ParseError, match=r":14: expected 3 values"):
+            read_cloud(p)
+
     def test_row_arity_error_names_line(self, tmp_path):
         p = tmp_path / "arity.ply"
         p.write_text(

@@ -11,9 +11,8 @@ from chamferkit import (
     match_brute,
     match_indexed,
     pair_sq,
-    resolve_workers,
 )
-from chamferkit.matching import _TIE_CHUNK_ROWS, _TIE_K, _TIE_RTOL, WORKERS_ENV_VAR
+from chamferkit.matching import _TIE_CHUNK_ROWS, _TIE_K, _TIE_RTOL
 
 from testutil import mixed_cloud, snapped_cloud, sorted_nearest, uniform_cloud
 
@@ -125,11 +124,13 @@ class TestMatchIndexed:
         b = uniform_cloud(rng, 8192)
         assert_matches_equal(match_indexed(a, b), match_brute(a, b))
 
-    def test_worker_count_does_not_change_result(self):
+    def test_worker_env_var_is_ignored(self, monkeypatch):
         rng = np.random.default_rng(13)
         a = snapped_cloud(rng, 500, grid=0.25)
         b = snapped_cloud(rng, 500, grid=0.25)
-        assert_matches_equal(match_indexed(a, b, workers=1), match_indexed(a, b, workers=2))
+        expected = match_indexed(a, b)
+        monkeypatch.setenv("CHAMFERKIT_WORKERS", "many")
+        assert_matches_equal(match_indexed(a, b), expected)
 
     def test_sphere_to_cropped_sphere(self):
         full = gen_shape("sphere-surface", 1024, seed=3)
@@ -208,21 +209,3 @@ class TestCoordinateRange:
             with pytest.raises(ValueError, match="supported"):
                 matcher(b, a)
 
-
-class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_workers() == 1
-
-    def test_env_var_respected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert resolve_workers() == 4
-        assert resolve_workers(2) == 2  # explicit argument wins
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            resolve_workers()
-        monkeypatch.delenv(WORKERS_ENV_VAR)
-        with pytest.raises(ValueError):
-            resolve_workers(0)
