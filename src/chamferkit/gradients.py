@@ -31,12 +31,16 @@ def weight_z(d, alpha: float = 1.0):
     sqrt(2*alpha) / sqrt(1 + alpha*d^2/2), which returns the analytic
     d -> 0 limit sqrt(2*alpha) exactly, with no special case. Strictly
     decreasing in d: well-matched pairs keep their pull while far
-    outliers are damped.
+    outliers are damped. Where alpha*d^2 overflows it returns the
+    asymptote 2/d, finite and without a warning.
     """
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     arr = _checked_distances(d)
-    out = np.sqrt(2.0 * alpha) / np.sqrt(1.0 + alpha * arr * arr / 2.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        u = alpha * arr * arr
+        # where u overflows, 1 + u/2 is u/2 to far below one ulp
+        out = np.where(np.isinf(u), 2.0 / arr, np.sqrt(2.0 * alpha) / np.sqrt(1.0 + u / 2.0))
     return out if out.ndim else float(out)
 
 

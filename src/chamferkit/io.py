@@ -2,12 +2,18 @@
 
 Writers emit coordinates with repr-exact precision (%.17g), so a
 write/read round trip reproduces every float64 bit for bit.
+
+Readers stream the file through numpy's C text reader. A file that
+reader refuses, or whose rows come out the wrong width, too few or
+non-finite, is read again by the line-by-line parser, which raises the
+ParseError naming the first bad line.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -27,6 +33,8 @@ _PLY_HEADER = (
     "property float z\n"
     "end_header\n"
 )
+_ROW_FORMAT = "%.17g %.17g %.17g\n"
+_WRITE_CHUNK_ROWS = 4096  # rows formatted per write
 
 
 class ParseError(ValueError):
@@ -62,11 +70,15 @@ def read_cloud(path, format: str | None = None) -> PointCloud:
 
 def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
     fmt = _resolve_format(path, format)
+    pts = cloud.points
     with open(path, "w", encoding="ascii") as fh:
         if fmt == "ply-ascii":
             fh.write(_PLY_HEADER.format(len(cloud)))
-        for x, y, z in cloud.points:
-            fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
+        # one % and one write per chunk of rows; the chunk bounds the text
+        # held in memory at once
+        for start in range(0, len(pts), _WRITE_CHUNK_ROWS):
+            chunk = pts[start : start + _WRITE_CHUNK_ROWS]
+            fh.write((_ROW_FORMAT * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _parse_coord(path, lineno: int, token: str) -> float:
@@ -97,9 +109,35 @@ def _parse_rows(path, numbered_lines, width: int, cols) -> np.ndarray:
     return np.array(pts).reshape(-1, 3)
 
 
+def _loadtxt_rows(fh, width: int, count: int | None = None) -> np.ndarray | None:
+    """The rows of fh, or its next count non-blank rows, read by numpy's C reader.
+
+    Returns None unless there is at least one row (exactly count if given),
+    every row holds width values and all of them are finite; the caller
+    then reads the rows again with _parse_rows. Where both accept a row
+    they agree bit for bit: the C reader parses with the routine float()
+    uses, accepts no token float() rejects, and splits at the whitespace
+    str.split() splits at. Some tokens float() takes, such as "1_000",
+    it refuses, so those files take the line-by-line route.
+    """
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data" and blank lines within count rows
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2, max_rows=count)
+    except ValueError:  # also a UnicodeDecodeError
+        return None
+    if not len(rows) or (count is not None and len(rows) != count):
+        return None
+    return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
+
+
 def _read_xyz(path) -> PointCloud:
     with open(path, "r", encoding="ascii") as fh:
-        pts = _parse_rows(path, enumerate(fh, start=1), 3, (0, 1, 2))
+        pts = _loadtxt_rows(fh, 3)
+        if pts is None:
+            fh.seek(0)
+            pts = _parse_rows(path, enumerate(fh, start=1), 3, (0, 1, 2))
     if not len(pts):
         raise ParseError(path, 0, "file contains no points")
     return PointCloud(pts)
@@ -110,19 +148,36 @@ def _read_ply(path) -> PointCloud:
 
     The vertex element must carry scalar float or double properties named
     x, y and z; extra scalar properties are ignored. Binary PLY and list
-    properties on the vertex element are rejected.
+    properties on the vertex element are rejected. Lines break where XYZ
+    lines do, at newlines only.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+        pts = _read_ply_vertices(path, fh, fast=True)
+        if pts is None:
+            fh.seek(0)
+            pts = _read_ply_vertices(path, fh, fast=False)
+        # decode the rest, so a non-ASCII byte anywhere still fails the read
+        while fh.read(1 << 16):
+            pass
+    return PointCloud(pts)
 
-    if not lines or lines[0].strip() != "ply":
+
+def _read_ply_vertices(path, fh, fast: bool) -> np.ndarray | None:
+    """Parse the header from fh and return the vertex rows' x, y and z.
+
+    With fast set the vertex rows go to _loadtxt_rows, and None means
+    they must be read again with fast unset, from the start of the file.
+    """
+    numbered = enumerate(fh, start=1)
+    _, first = next(numbered, (1, ""))
+    if first.strip() != "ply":
         raise ParseError(path, 1, "not a PLY file (missing 'ply' magic line)")
 
     elements: list[tuple[str, int, list[str]]] = []  # (name, count, property names)
     has_list_prop: dict[str, bool] = {}
     format_seen = False
     lineno = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in numbered:
         fields = raw.split()
         if not fields or fields[0] == "comment":
             continue
@@ -156,7 +211,7 @@ def _read_ply(path) -> PointCloud:
         else:
             raise ParseError(path, lineno, f"unexpected header keyword {fields[0]!r}")
     else:
-        raise ParseError(path, len(lines), "missing end_header")
+        raise ParseError(path, lineno, "missing end_header")
 
     if not format_seen:
         raise ParseError(path, lineno, "missing format declaration")
@@ -175,14 +230,17 @@ def _read_ply(path) -> PointCloud:
             path, lineno, f"vertex element lacks x/y/z properties (has {props})"
         ) from None
 
-    body = (
-        (no, raw) for no, raw in enumerate(lines[lineno:], start=lineno + 1) if raw.strip()
-    )
+    body = ((no, raw) for no, raw in numbered if raw.strip())
     for name, count, eprops in elements:
-        rows = islice(body, count)
-        pts = _parse_rows(path, rows, len(eprops), cols) if name == "vertex" else list(rows)
-        if len(pts) < count:
-            raise ParseError(path, len(lines), f"file ends inside element {name!r}")
         if name == "vertex":
-            return PointCloud(pts)  # remaining elements carry no point data
-
+            if fast:
+                rows = _loadtxt_rows(fh, len(eprops), count)
+                return None if rows is None else rows[:, cols]
+            pts = _parse_rows(path, islice(body, count), len(eprops), cols)
+        else:
+            pts = list(islice(body, count))
+        if len(pts) < count:
+            fh.seek(0)
+            raise ParseError(path, sum(1 for _ in fh), f"file ends inside element {name!r}")
+        if name == "vertex":
+            return pts  # remaining elements carry no point data

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
 
@@ -142,6 +141,10 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
 
 
 def _indexed_nearest(Q: np.ndarray, T: np.ndarray):
+    # imported on the first kd build: scipy takes longer to import than
+    # the rest of the package, and only this route needs it
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(T)
     k = min(2, len(T))
     dist, idx = tree.query(Q, k=k)

@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from chamferkit import (
     write_curves_csv,
     write_sweep_csv,
 )
+import chamferkit
 from chamferkit.cli import main
 
 from testutil import uniform_cloud
@@ -399,3 +404,54 @@ class TestTopLevel:
         monkeypatch.setenv("CHAMFERKIT_WORKERS", "many")
         assert main(["distance", str(fa), str(fb)]) == 0
         assert capsys.readouterr().err == ""
+
+
+# Runs the CLI as the console script does, then reports on stderr
+# whether scipy was imported.
+CLI_THEN_REPORT_SCIPY = (
+    "import sys\n"
+    "from chamferkit.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('scipy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_python(args, cwd) -> subprocess.CompletedProcess:
+    src = str(Path(chamferkit.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestStartup:
+    """scipy is imported by the first kd-tree match, not by the package."""
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = run_python(["-c", "import sys, chamferkit; print('scipy' in sys.modules)"], tmp_path)
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_gen_loads_no_scipy(self, tmp_path):
+        args = ["gen", "--kind", "sphere-surface", "--n", "64", "--out", "g.xyz"]
+        proc = run_python(["-c", CLI_THEN_REPORT_SCIPY, *args], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "False\n")
+        assert len((tmp_path / "g.xyz").read_text().splitlines()) == 64
+
+    def test_distance_output_unchanged(self, tmp_path):
+        (tmp_path / "a.xyz").write_text("0 0 0\n1 2 3\n0.5 0.25 -1\n")
+        (tmp_path / "b.ply").write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n1 0 0\n0 1 2\n"
+        )
+        proc = run_python(["-c", CLI_THEN_REPORT_SCIPY, "distance", "a.xyz", "b.ply"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "True\n")
+        assert proc.stdout == (
+            "value=3.310682376202342\nd1=1.6204848932921536\nd2=1.6901974829101885\n"
+        )

@@ -49,6 +49,15 @@ class TestWeightZ:
                 continue
             assert weight_z(d1, alpha) > weight_z(d2, alpha)
 
+    def test_asymptote_where_alpha_d2_overflows(self):
+        # alpha*d^2 is past the float64 range at both points; the weight is 2/d
+        assert weight_z(1e155) == pytest.approx(2e-155, rel=1e-15)
+        assert weight_z(1e150, 1e10) == pytest.approx(2e-150, rel=1e-15)
+        d = np.array([1e153, 1e154, 1.3e154, 1.4e154, 1e155, 1e300, np.inf])
+        w = weight_z(d)
+        assert (np.diff(w) < 0).all() and w[-1] == 0.0
+        np.testing.assert_allclose(w[:-1], 2.0 / d[:-1], rtol=1e-15)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             weight_z(1.0, 0.0)

@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from chamferkit import ParseError, PointCloud, gen_shape, read_cloud, write_cloud
+from chamferkit.io import _parse_rows, _read_ply_vertices
+
+# characters str.split() treats as whitespace but str.splitlines() as
+# line breaks
+SPLITLINES_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+PLY_XYZ_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex {}\n"
+    "property float x\nproperty float y\nproperty float z\nend_header\n"
+)
 
 
 def tricky_cloud():
@@ -200,3 +212,156 @@ class TestFormatSelection:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_cloud(tmp_path / "nothing.xyz")
+
+
+class TestLineHandling:
+    @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+    def test_ply_row_splits_like_xyz(self, tmp_path, char):
+        row = f"1 2{char}3\n"
+        (tmp_path / "t.xyz").write_text(row)
+        (tmp_path / "t.ply").write_text(PLY_XYZ_HEADER.format(1) + row)
+        for name in ("t.xyz", "t.ply"):
+            np.testing.assert_array_equal(read_cloud(tmp_path / name).points, [[1, 2, 3]])
+
+    def test_tokens_numpy_refuses_take_the_line_loop(self, tmp_path):
+        # numpy's reader refuses "1_000"; the line loop reads it as float() does
+        (tmp_path / "u.xyz").write_text("0 0 0\n1_000 2 3\n")
+        (tmp_path / "u.ply").write_text(PLY_XYZ_HEADER.format(2) + "0 0 0\n1_000 2 3\n")
+        for name in ("u.xyz", "u.ply"):
+            np.testing.assert_array_equal(
+                read_cloud(tmp_path / name).points, [[0, 0, 0], [1000, 2, 3]]
+            )
+
+    def test_late_bad_row_names_its_line(self, tmp_path):
+        rows = "0.5 0.25 0.125\n" * 9999
+        (tmp_path / "late.xyz").write_text(rows + "0 x 0\n")
+        with pytest.raises(ParseError, match=r"late\.xyz:10000: unparseable"):
+            read_cloud(tmp_path / "late.xyz")
+        (tmp_path / "late.ply").write_text(PLY_XYZ_HEADER.format(10000) + rows + "0 0 inf\n")
+        with pytest.raises(ParseError, match=r"late\.ply:10007: non-finite"):
+            read_cloud(tmp_path / "late.ply")
+
+    def test_non_ascii_after_vertices_still_rejected(self, tmp_path):
+        # the byte sits far past any read-ahead of the vertex rows
+        p = tmp_path / "face.ply"
+        head = PLY_XYZ_HEADER.format(1).replace(
+            "end_header",
+            "element face 50001\nproperty list uchar int vertex_indices\nend_header",
+        )
+        faces = "1 0\n" * 50000
+        p.write_bytes((head + "1 2 3\n" + faces + "1 0\n").encode("ascii"))
+        np.testing.assert_array_equal(read_cloud(p).points, [[1, 2, 3]])
+        p.write_bytes((head + "1 2 3\n" + faces + "1 \xe9\n").encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError):
+            read_cloud(p)
+
+
+def read_by_line_loop(path) -> PointCloud:
+    """read_cloud through the line-by-line parser alone."""
+    with open(path, "r", encoding="ascii") as fh:
+        if path.suffix == ".ply":
+            pts = _read_ply_vertices(path, fh, fast=False)
+        else:
+            pts = _parse_rows(path, enumerate(fh, start=1), 3, (0, 1, 2))
+            if not len(pts):
+                raise ParseError(path, 0, "file contains no points")
+    return PointCloud(pts)
+
+
+def outcome(read, path):
+    try:
+        return read(path).points.tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+_SEPARATORS = (" ", "\t", " \t ", "\x1f") + SPLITLINES_BREAKS
+_LINE_ENDS = ("\n", "\r\n", "\r")
+_ODD_TOKENS = ("nan", "-inf", "Infinity", "1e400", "1_000", "+.5", "-0", "5.", "0x10", "#", "1#")
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_finite_token = st.one_of(
+    _finite.map(repr),
+    st.tuples(st.sampled_from(("%.17g", "%.6g", "%.3e")), _finite).map(lambda p: p[0] % p[1]),
+)
+_any_token = st.one_of(
+    _finite_token,
+    st.sampled_from(_ODD_TOKENS),
+    st.text("0123456789.eE+-_#\x00", min_size=1, max_size=6),
+)
+
+
+@st.composite
+def bodies(draw, width: int, max_rows: int = 8) -> tuple[str, int]:
+    """Text of up to max_rows rows of width tokens, and the row count.
+
+    Half the bodies hold finite numbers only, with blank lines between
+    rows; the rest add odd tokens, ragged rows and whitespace-only lines.
+    """
+    clean = draw(st.booleans())
+    token = _finite_token if clean else _any_token
+    n_rows = draw(st.integers(0, max_rows))
+    text = ""
+    for _ in range(n_rows):
+        if draw(st.integers(0, 5)) == 0:
+            blank = "" if clean else draw(st.sampled_from(_SEPARATORS))
+            text += blank + draw(st.sampled_from(_LINE_ENDS))
+        n = width if clean or draw(st.integers(0, 5)) else draw(st.integers(1, width + 1))
+        tokens = [draw(token) for _ in range(n)]
+        line = tokens[0]
+        for tok in tokens[1:]:
+            line += draw(st.sampled_from(_SEPARATORS)) + tok
+        text += draw(st.sampled_from(("", " ", "\t"))) + line + draw(st.sampled_from(_LINE_ENDS))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last row
+    return text, n_rows
+
+
+@st.composite
+def ply_files(draw) -> str:
+    props = ["x", "y", "z"]
+    for extra in draw(st.lists(st.sampled_from(("nx", "confidence")), max_size=2)):
+        props.insert(draw(st.integers(0, len(props))), extra)
+    body, n_rows = draw(bodies(len(props)))
+    declared = max(0, n_rows + draw(st.sampled_from((-1, 0, 0, 0, 1))))  # short and overlong
+    header = ["ply", "format ascii 1.0"]
+    before = ""
+    if draw(st.booleans()):
+        header += ["element edge 1", "property int a", "property int b"]
+        before = "0 1\n"
+    header.append(f"element vertex {declared}")
+    header += [f"property float {p}" for p in props]
+    header.append("end_header")
+    return "\n".join(header) + "\n" + before + body
+
+
+class TestFastPathMatchesLineLoop:
+    @seed(20261018)
+    @settings(
+        max_examples=300,
+        deadline=2000,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.one_of(bodies(3).map(lambda b: ("c.xyz", b[0])), ply_files().map(lambda t: ("c.ply", t))))
+    def test_same_bits_or_same_error(self, tmp_path, case):
+        name, text = case
+        path = tmp_path / name
+        path.write_bytes(text.encode("ascii"))
+        assert outcome(read_cloud, path) == outcome(read_by_line_loop, path)
+
+
+class TestWriteBytes:
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097])
+    @pytest.mark.parametrize("suffix", [".xyz", ".ply"])
+    def test_bytes_equal_per_row_reference(self, tmp_path, n, suffix):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        specials = [-0.0, 5e-324, 1e150, -1e150]
+        flat = pts.reshape(-1)
+        flat[-min(4, flat.size) :] = specials[: flat.size]
+        path = tmp_path / f"w{suffix}"
+        write_cloud(PointCloud(pts), path)
+        expected = PLY_XYZ_HEADER.format(n) if suffix == ".ply" else ""
+        expected += "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts)
+        assert path.read_bytes() == expected.encode("ascii")
+        assert read_cloud(path).points.tobytes() == pts.tobytes()
