@@ -76,10 +76,6 @@ def cmd_curves(args) -> int:
         betas = _parse_list(args.betas or "2", "--betas")
         specs = []
         for kind in kinds:
-            if kind not in TRANSFORM_KINDS:
-                raise ValueError(
-                    f"unknown transform kind {kind!r}, expected one of {TRANSFORM_KINDS}"
-                )
             for alpha in alphas:
                 for beta in betas:
                     specs.append(TransformSpec(kind, alpha=alpha, beta=beta))

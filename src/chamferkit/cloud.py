@@ -81,6 +81,17 @@ def bounding_box(cloud: PointCloud) -> BoundingBox:
     return BoundingBox(cloud.points.min(axis=0), cloud.points.max(axis=0))
 
 
+def _directions(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gaussian rows (isotropic directions) and their norms, all >= 1e-12."""
+    v = rng.standard_normal((n, 3))
+    norms = np.linalg.norm(v, axis=1)
+    # resample the (measure-zero) degenerate rows instead of dividing by ~0
+    while (bad := norms < 1e-12).any():
+        v[bad] = rng.standard_normal((int(bad.sum()), 3))
+        norms = np.linalg.norm(v, axis=1)
+    return v, norms
+
+
 def gen_shape(kind: str, n: int, seed: int) -> PointCloud:
     """Deterministic synthetic cloud of n points on one of the stock shapes.
 
@@ -96,12 +107,7 @@ def gen_shape(kind: str, n: int, seed: int) -> PointCloud:
     rng = np.random.default_rng(seed)
 
     if kind == "sphere-surface":
-        v = rng.standard_normal((n, 3))
-        norms = np.linalg.norm(v, axis=1)
-        # resample the (measure-zero) degenerate rows instead of dividing by ~0
-        while (bad := norms < 1e-12).any():
-            v[bad] = rng.standard_normal((int(bad.sum()), 3))
-            norms = np.linalg.norm(v, axis=1)
+        v, norms = _directions(rng, n)
         pts = v / norms[:, None]
     elif kind == "box-surface":
         face = rng.integers(0, 6, size=n)
@@ -194,11 +200,7 @@ def displace_outliers(
     count = max(1, round(fraction * n))
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=count, replace=False))
-    dirs = rng.standard_normal((count, 3))
-    norms = np.linalg.norm(dirs, axis=1)
-    while (bad := norms < 1e-12).any():
-        dirs[bad] = rng.standard_normal((int(bad.sum()), 3))
-        norms = np.linalg.norm(dirs, axis=1)
+    dirs, norms = _directions(rng, count)
     pts = cloud.points.copy()
     pts[idx] += distance * dirs / norms[:, None]
     return PointCloud(pts), idx

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,13 +24,7 @@ class EvalReport:
     hausdorff: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "cd_l1": self.cd_l1,
-            "cd_l2": self.cd_l2,
-            "fscore": self.fscore,
-            "fscore_threshold": self.fscore_threshold,
-            "hausdorff": self.hausdorff,
-        }
+        return asdict(self)
 
 
 def fscore(

@@ -34,14 +34,7 @@ def weight_z(d, alpha: float = 1.0):
     outliers are damped. Where alpha*d^2 overflows it returns the
     asymptote 2/d, finite and without a warning.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    arr = _checked_distances(d)
-    with np.errstate(over="ignore", divide="ignore"):
-        u = alpha * arr * arr
-        # where u overflows, 1 + u/2 is u/2 to far below one ulp
-        out = np.where(np.isinf(u), 2.0 / arr, np.sqrt(2.0 * alpha) / np.sqrt(1.0 + u / 2.0))
-    return out if out.ndim else float(out)
+    return transform_derivative(TransformSpec("hyper", alpha, 2.0), d)
 
 
 def transform_derivative(spec: TransformSpec, d):
@@ -66,10 +59,13 @@ def transform_derivative(spec: TransformSpec, d):
             e = np.exp(-_power(spec, arr))
             out = np.where(e > 0, a * b * arr ** (b - 1.0) * e, 0.0)
         else:
-            u = _power(spec, arr)
             if b == 2.0:
-                out = np.asarray(weight_z(arr, a))  # t' at beta = 2 IS the weight
+                # the weight curve of weight_z; alpha*d*d rather than _power's
+                # alpha*d**2.0, which rounds differently for some alpha
+                u = a * arr * arr
+                out = np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0)
             else:
+                u = _power(spec, arr)
                 # beta*sqrt(alpha)*d^(beta/2-1) / sqrt(alpha*d^beta + 2),
                 # the cancellation-free rearrangement of the raw quotient
                 out = b * np.sqrt(a) * arr ** (b / 2.0 - 1.0) / np.sqrt(u + 2.0)

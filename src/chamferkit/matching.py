@@ -10,9 +10,9 @@ The kd-tree does not order equidistant candidates by index, so the
 accelerated route re-resolves every query whose two nearest candidates
 are (nearly) tied. It does so in bulk: one k = _TIE_K query per chunk of
 tied rows, with the exact minimum taken over all candidates at once.
-Only rows whose _TIE_K-th candidate still lies inside the tie radius,
-where more candidates may tie beyond it, fall back to a per-row ball
-query.
+Rows whose k-th candidate still lies inside the tie radius, where more
+candidates may tie beyond it, go through the same pass again with a
+larger k, sized from a count of the targets inside that radius.
 
 Both routes accept coordinates up to MAX_ABS_COORD in magnitude, so
 that every squared distance between two points is finite; clouds
@@ -39,13 +39,14 @@ _CHUNK_BYTES = 1 << 26  # scratch budget per brute-force row chunk
 # as a potential tie and re-resolved exactly.
 _TIE_RTOL = 1e-9
 
-# Candidates fetched per tied query in the bulk tie pass. A plane grid
+# Candidates fetched per tied query in the first tie pass. A plane grid
 # queried from its half-spacing shift ties 4 ways, so all of the first 4
 # candidates can sit inside the tie radius; a 5th outside it proves that
 # no further candidate ties. Rows whose 5th candidate is inside as well
-# (8-way ties of a shifted 3-D lattice, duplicates) take the ball query.
+# (8-way ties of a shifted 3-D lattice, duplicates) take another pass.
 _TIE_K = 5
-# Tied rows re-queried at once; bounds the (rows, _TIE_K, 3) scratch.
+# Tied rows re-queried at once in the first pass; passes with a larger k
+# take proportionally fewer, so the (rows, k, 3) scratch stays this size.
 _TIE_CHUNK_ROWS = 2048
 
 
@@ -128,8 +129,8 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
 
     The index does not promise any tie order, so queries whose two
     nearest distances are not clearly separated are re-resolved exactly:
-    in bulk from their _TIE_K nearest candidates, falling back to a ball
-    query for rows where even the _TIE_K-th candidate is tied. All
+    in bulk from their _TIE_K nearest candidates, and again from more
+    candidates for rows where even the last one fetched is tied. All
     squared distances are recomputed from the chosen indices with the
     canonical arithmetic. Raises ValueError if a coordinate exceeds
     MAX_ABS_COORD in magnitude, as match_brute does.
@@ -146,31 +147,33 @@ def _indexed_nearest(Q: np.ndarray, T: np.ndarray):
     from scipy.spatial import cKDTree
 
     tree = cKDTree(T)
-    k = min(2, len(T))
-    dist, idx = tree.query(Q, k=k)
-    if k == 1:
-        best = np.zeros(len(Q), dtype=np.int64)  # single candidate, nothing to break
-    else:
-        best = idx[:, 0].astype(np.int64)
-        gap = dist[:, 1] - dist[:, 0]
-        # catches exact ties (gap 0) and near-ties the tree may have ordered
-        # by its own rounding; 1e-9 is far above kd arithmetic error
-        ambiguous = gap <= _TIE_RTOL * dist[:, 0]
-        if ambiguous.any():
-            _resolve_ties(tree, Q, T, np.flatnonzero(ambiguous), best)
+    # a one-point target reports its missing runner-up at distance inf,
+    # so none of its rows reads as tied
+    dist, idx = tree.query(Q, k=2)
+    best = idx[:, 0].astype(np.int64)
+    gap = dist[:, 1] - dist[:, 0]
+    # catches exact ties (gap 0) and near-ties the tree may have ordered
+    # by its own rounding; 1e-9 is far above kd arithmetic error
+    ambiguous = gap <= _TIE_RTOL * dist[:, 0]
+    if ambiguous.any():
+        _resolve_ties(tree, Q, T, np.flatnonzero(ambiguous), best, _TIE_K)
     return best, pair_sq(Q, T[best])
 
 
-def _resolve_ties(tree, Q, T, queries, best):
+def _resolve_ties(tree, Q, T, queries, best, k):
     """Set best[q], for each tied query q, to the lowest index among its
-    exact nearest targets.
+    exact nearest targets, taken from its k nearest candidates.
 
     Candidates within the tie radius d0 * (1 + _TIE_RTOL) contain every
     exact minimizer, since kd arithmetic errs far less than _TIE_RTOL.
+    Rows whose k-th candidate is inside that radius may tie beyond it and
+    are resolved again with a larger k; k grows at least to 2k + 1 each
+    time, so the passes end once k reaches len(T).
     """
-    k = min(_TIE_K, len(T))
-    for start in range(0, len(queries), _TIE_CHUNK_ROWS):
-        rows = queries[start : start + _TIE_CHUNK_ROWS]
+    k = min(k, len(T))
+    chunk = max(1, _TIE_CHUNK_ROWS * _TIE_K // k)
+    for start in range(0, len(queries), chunk):
+        rows = queries[start : start + chunk]
         dist, idx = tree.query(Q[rows], k=k)
         radii = dist[:, 0] * (1.0 + _TIE_RTOL)
         inside = dist <= radii[:, None]
@@ -178,9 +181,6 @@ def _resolve_ties(tree, Q, T, queries, best):
         exact = sq == sq.min(axis=1, keepdims=True)
         best[rows] = np.where(exact, idx, len(T)).min(axis=1)
         spill = inside[:, -1]
-        if spill.any():
-            hits = tree.query_ball_point(Q[rows[spill]], radii[spill])
-            for q, cand in zip(rows[spill], hits):
-                cand = np.asarray(cand, dtype=np.int64)
-                sq_q = pair_sq(Q[q], T[cand])
-                best[q] = cand[sq_q == sq_q.min()].min()
+        if k < len(T) and spill.any():
+            count = tree.query_ball_point(Q[rows[spill]], radii[spill], return_length=True)
+            _resolve_ties(tree, Q, T, rows[spill], best, max(int(count.max()) + 1, 2 * k + 1))

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import math
 import os
 import subprocess
@@ -167,6 +168,9 @@ class TestCurves:
     def test_validation_errors(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")
         assert main(["curves", "--kinds", "cubic", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown transform kind 'cubic', expected one of ('l1', 'l2', 'exp', 'hyper')\n"
+        )
         assert main(["curves", "--steps", "1", "--out", out]) == 2
         assert main(["curves", "--dmax", "0", "--out", out]) == 2
         assert main(["curves", "--alphas", "1,zap", "--out", out]) == 2
@@ -404,6 +408,13 @@ class TestTopLevel:
         monkeypatch.setenv("CHAMFERKIT_WORKERS", "many")
         assert main(["distance", str(fa), str(fb)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_console_script_target_is_callable(self):
+        tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["chamferkit"]
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
 
 
 # Runs the CLI as the console script does, then reports on stderr

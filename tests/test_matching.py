@@ -12,6 +12,7 @@ from chamferkit import (
     match_indexed,
     pair_sq,
 )
+from chamferkit import matching
 from chamferkit.matching import _TIE_CHUNK_ROWS, _TIE_K, _TIE_RTOL
 
 from testutil import mixed_cloud, snapped_cloud, sorted_nearest, uniform_cloud
@@ -144,10 +145,24 @@ def tied_rows(queries: PointCloud, target: PointCloud, k: int) -> np.ndarray:
     return np.flatnonzero(dist[:, -1] <= dist[:, 0] * (1.0 + _TIE_RTOL))
 
 
+@pytest.fixture
+def tie_passes(monkeypatch):
+    """The k of every tie pass match_indexed runs, in call order."""
+    ks = []
+    inner = matching._resolve_ties
+
+    def spy(tree, Q, T, queries, best, k):
+        ks.append(k)
+        inner(tree, Q, T, queries, best, k)
+
+    monkeypatch.setattr(matching, "_resolve_ties", spy)
+    return ks
+
+
 class TestTieResolution:
-    def test_shifted_3d_lattice_takes_ball_fallback(self):
+    def test_shifted_3d_lattice_takes_a_second_pass(self):
         # interior cell centres are equidistant from 8 lattice corners,
-        # more than the bulk pass fetches, so those rows need the ball query
+        # more than the first pass fetches, so those rows take a second pass
         axis = np.arange(6.0)
         lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
         rng = np.random.default_rng(14)
@@ -175,6 +190,54 @@ class TestTieResolution:
         b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)])
         assert len(tied_rows(a, b, 2)) > _TIE_CHUNK_ROWS
         assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+
+    def test_duplicates_64_times_take_a_counted_pass(self, tie_passes):
+        # every query ties with all 64 copies of its nearest point: the k=2
+        # query, the first pass (whose 5th candidate is still a copy) and a
+        # second pass sized by the count inside the tie radius
+        rng = np.random.default_rng(17)
+        base = uniform_cloud(rng, 40).points
+        repeated = np.repeat(base, 64, axis=0)
+        target = PointCloud(repeated[rng.permutation(len(repeated))])
+        queries = PointCloud(np.vstack([base, uniform_cloud(rng, 60).points]))
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert tie_passes == [_TIE_K, 65]
+        assert_matches_equal(match_indexed(target, queries), match_brute(target, queries))
+
+    def test_sphere_centre_ties_with_every_target(self, tie_passes):
+        target = gen_shape("sphere-surface", 3000, seed=18)
+        queries = PointCloud([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert tie_passes[-1] > len(target)  # so the last pass fetched all of it
+
+    def test_one_point_target_never_ties(self, tie_passes):
+        rng = np.random.default_rng(19)
+        target = PointCloud([[0.25, 0.5, 0.75]])
+        queries = PointCloud(np.vstack([target.points, uniform_cloud(rng, 50).points]))
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_matches_equal(match_indexed(target, queries), match_brute(target, queries))
+        assert tie_passes == []
+
+    def test_padded_partial_against_sphere(self):
+        # 256 points inside the sphere, each repeated 8 times
+        rng = np.random.default_rng(20)
+        full = gen_shape("sphere-surface", 4096, seed=21)
+        base = gen_shape("sphere-surface", 256, seed=22).points * 0.9
+        partial = PointCloud(base[rng.permutation(np.resize(np.arange(256), 2048))])
+        assert_matches_equal(match_indexed(full, partial), match_brute(full, partial))
+        assert_matches_equal(match_indexed(partial, full), match_brute(partial, full))
+
+    def test_deep_pass_spanning_several_chunks(self, monkeypatch, tie_passes):
+        # 13 rows per first-pass chunk, so the k=65 pass takes one row per chunk
+        monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 13)
+        rng = np.random.default_rng(22)
+        base = uniform_cloud(rng, 30).points
+        repeated = np.repeat(base, 64, axis=0)
+        target = PointCloud(repeated[rng.permutation(len(repeated))])
+        queries = PointCloud(np.vstack([base, uniform_cloud(rng, 50).points]))
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        # 80 tied rows: 7 first-pass chunks of 13, each sending its rows on
+        assert tie_passes == [_TIE_K] + [65] * 7
 
     @seed(20241223)
     @settings(max_examples=60, deadline=2000, database=None)
