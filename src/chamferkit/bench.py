@@ -8,14 +8,14 @@ rather than biasing whichever ran last.
 
 from __future__ import annotations
 
-import csv
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .cloud import PointCloud
 from .distances import TransformSpec, chamfer, chamfer_poincare, transform
+from .io import write_csv
 from .matching import match_indexed
 
 BENCH_KINDS = ("l1", "l2", "exp", "hyper", "poincare")
@@ -138,10 +138,4 @@ def format_bench_table(report: BenchReport) -> str:
 
 
 def write_bench_csv(report: BenchReport, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "phase", "n_a", "n_b", "repeats", "mean_s", "std_s"])
-        for e in report.entries:
-            writer.writerow(
-                [e.kind, e.phase, e.n_a, e.n_b, e.repeats, repr(e.mean_s), repr(e.std_s)]
-            )
+    write_csv(path, [f.name for f in fields(BenchEntry)], map(astuple, report.entries))

@@ -81,8 +81,8 @@ def cmd_curves(args) -> int:
                     specs.append(TransformSpec(kind, alpha=alpha, beta=beta))
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    if args.dmax <= 0:
-        raise ValueError("--dmax must be positive")
+    if not 0 < args.dmax < np.inf:  # NaN fails too
+        raise ValueError("--dmax must be positive and finite")
     grid = np.linspace(0.0, args.dmax, args.steps)
     rows = sample_curves(specs, grid, normalize=not args.no_normalize)
     write_curves_csv(rows, args.out)
@@ -154,15 +154,17 @@ def cmd_eval(args) -> int:
 
 def cmd_gen(args) -> int:
     cloud = gen_shape(args.kind, args.n, args.seed)
-    write_cloud(cloud, args.out)
-    print(f"wrote {len(cloud)} points to {args.out}")
-    if args.crop_k is not None:
+    partial = None
+    if args.crop_k is not None:  # checked before any file is written
         if args.viewpoint is None:
             raise ValueError("--crop-k requires --viewpoint")
         vp = _parse_list(args.viewpoint, "--viewpoint")
         if len(vp) != 3:
             raise ValueError("--viewpoint expects three comma-separated coordinates")
         partial = partial_view_crop(cloud, vp, args.crop_k)
+    write_cloud(cloud, args.out)
+    print(f"wrote {len(cloud)} points to {args.out}")
+    if partial is not None:
         root, ext = os.path.splitext(str(args.out))
         partial_path = f"{root}_partial{ext}"
         write_cloud(partial, partial_path)

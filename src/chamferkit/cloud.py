@@ -9,6 +9,12 @@ import numpy as np
 
 SHAPE_KINDS = ("sphere-surface", "box-surface", "plane-grid", "l-bracket")
 
+# Largest supported |coordinate|. Two points within it are at most
+# sqrt(12) * MAX_ABS_COORD apart, so squared distances stay below 1.2e301,
+# far from float64 overflow (1.8e308); beyond about 3.9e153 they overflow
+# to inf and the kd-tree reports no neighbor at all.
+MAX_ABS_COORD = 1e150
+
 
 def as_point(p) -> np.ndarray:
     """Validate a single 3D point, returned as a float64 array of shape (3,)."""
@@ -145,9 +151,14 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     """Remove the k points nearest to viewpoint, keeping the rest in order.
 
     Models a self-occluded partial scan. Equidistant points are removed
-    lowest index first. k must leave at least one point behind.
+    lowest index first. k must leave at least one point behind, and the
+    viewpoint's coordinates must lie within MAX_ABS_COORD in magnitude.
     """
     vp = as_point(viewpoint)
+    if np.abs(vp).max() > MAX_ABS_COORD:
+        raise ValueError(
+            f"viewpoint {vp.tolist()} has a coordinate beyond the supported {MAX_ABS_COORD:g}"
+        )
     n = len(cloud)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,6 +10,7 @@ import numpy as np
 from .cloud import PointCloud
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
+from .io import write_csv
 from .matching import MAX_ABS_COORD, MatchResult, match_indexed
 
 _L1_SPEC = TransformSpec("l1")
@@ -179,32 +179,21 @@ def export_correspondences(trajectory: FitTrajectory, out_dir) -> list[Path]:
     for epoch, cloud, match in trajectory.snapshots:
         path = out / f"correspondence_epoch_{epoch:04d}.csv"
         matched = trajectory.target.points[match.fwd_idx]
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for p, q in zip(cloud.points, matched):
-                writer.writerow([repr(float(v)) for v in (*p, *q)])
+        write_csv(path, header, np.hstack([cloud.points, matched]))
         paths.append(path)
     return paths
 
 
 def write_loss_csv(trajectory: FitTrajectory, path) -> None:
     """Per-epoch training loss and plain-l1 chamfer, one row per epoch."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "l1_cd"])
-        for e in range(len(trajectory.losses)):
-            writer.writerow([e, repr(float(trajectory.losses[e])), repr(float(trajectory.l1_cd[e]))])
+    rows = zip(range(len(trajectory.losses)), trajectory.losses, trajectory.l1_cd)
+    write_csv(path, ["epoch", "loss", "l1_cd"], rows)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Matrix CSV: one row per alpha, one column per learning rate."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha"] + [repr(lr) for lr in result.learning_rates])
-        for i, alpha in enumerate(result.alphas):
-            row = [repr(alpha)]
-            for j in range(len(result.learning_rates)):
-                v = result.final_l1_cd[i, j]
-                row.append("" if np.isnan(v) else repr(float(v)))
-            writer.writerow(row)
+    rows = (
+        [alpha, *(None if np.isnan(v) else v for v in cells)]
+        for alpha, cells in zip(result.alphas, result.final_l1_cd)
+    )
+    write_csv(path, ["alpha", *result.learning_rates], rows)

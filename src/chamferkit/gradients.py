@@ -9,13 +9,13 @@ regime.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .cloud import PointCloud
 from .distances import TransformSpec, _checked_distances, _power, chamfer, transform
+from .io import write_csv
 from .matching import MatchResult, match_brute, match_indexed
 
 # A configuration counts as smooth when every matched distance clears this
@@ -245,18 +245,4 @@ def sample_curves(
 
 
 def write_curves_csv(rows: list[CurveRow], path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "alpha", "beta", "d", "value", "grad", "grad_normalized"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.kind,
-                    repr(r.alpha),
-                    repr(r.beta),
-                    repr(r.d),
-                    repr(r.value),
-                    repr(r.grad),
-                    "" if r.grad_normalized is None else repr(r.grad_normalized),
-                ]
-            )
+    write_csv(path, [f.name for f in fields(CurveRow)], map(astuple, rows))

@@ -1,16 +1,17 @@
-"""Reading and writing clouds as whitespace XYZ or ASCII PLY files.
+"""Clouds as whitespace XYZ or ASCII PLY files, and tables as CSV files.
 
 Writers emit coordinates with repr-exact precision (%.17g), so a
 write/read round trip reproduces every float64 bit for bit.
 
-Readers stream the file through numpy's C text reader. A file that
-reader refuses, or whose rows come out the wrong width, too few or
-non-finite, is read again by the line-by-line parser, which raises the
-ParseError naming the first bad line.
+Both cloud formats share one row reader. It streams the rows through
+numpy's C text reader; rows that reader refuses, or that come out the
+wrong width, too few or non-finite, are read again by the line-by-line
+parser, which raises the ParseError naming the first bad line.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import warnings
@@ -61,11 +62,25 @@ def _resolve_format(path, format: str | None) -> str:
 
 
 def read_cloud(path, format: str | None = None) -> PointCloud:
-    """Read a cloud from path. Format inferred from the suffix unless given."""
+    """Read a cloud from path. Format inferred from the suffix unless given.
+
+    An ASCII PLY file must give its vertex element scalar float or double
+    properties named x, y and z; extra scalar properties and other
+    elements are skipped. Binary PLY and list properties on the vertex
+    element are rejected. Lines break where XYZ lines do, at newlines only.
+    """
     fmt = _resolve_format(path, format)
-    if fmt == "xyz":
-        return _read_xyz(path)
-    return _read_ply(path)
+    with open(path, "r", encoding="ascii") as fh:
+        if fmt == "xyz":
+            pts = _read_rows(path, fh, 0, 3, [0, 1, 2])
+        else:
+            pts = _read_rows(path, fh, *_read_ply_header(path, fh))
+        # decode the rest, so a non-ASCII byte anywhere still fails the read
+        while fh.read(1 << 16):
+            pass
+    if not len(pts):
+        raise ParseError(path, 0, "file contains no points")
+    return PointCloud(pts)
 
 
 def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
@@ -92,15 +107,13 @@ def _parse_coord(path, lineno: int, token: str) -> float:
 
 
 def _parse_rows(path, numbered_lines, width: int, cols) -> np.ndarray:
-    """Parse (lineno, line) pairs into an (n, 3) array, skipping blank lines.
+    """Parse (lineno, line) pairs of non-blank lines into an (n, 3) array.
 
-    Every other line must hold width values; cols picks x, y and z.
+    Every line must hold width values; cols picks x, y and z.
     """
     pts = []
     for lineno, line in numbered_lines:
         fields = line.split()
-        if not fields:
-            continue  # blank lines tolerated
         if len(fields) != width:
             raise ParseError(path, lineno, f"expected {width} values, got {len(fields)}")
         # one flat list: per-row lists would be live objects the garbage
@@ -132,52 +145,42 @@ def _loadtxt_rows(fh, width: int, count: int | None = None) -> np.ndarray | None
     return rows if rows.shape[1] == width and np.isfinite(rows).all() else None
 
 
-def _read_xyz(path) -> PointCloud:
-    with open(path, "r", encoding="ascii") as fh:
-        pts = _loadtxt_rows(fh, 3)
-        if pts is None:
-            fh.seek(0)
-            pts = _parse_rows(path, enumerate(fh, start=1), 3, (0, 1, 2))
-    if not len(pts):
-        raise ParseError(path, 0, "file contains no points")
-    return PointCloud(pts)
+def _read_rows(path, fh, lineno: int, width: int, cols, count: int | None = None) -> np.ndarray:
+    """Columns cols (x, y and z) of fh's next count non-blank rows, or of all of them.
 
-
-def _read_ply(path) -> PointCloud:
-    """ASCII PLY reader covering the vertex element; other elements skipped.
-
-    The vertex element must carry scalar float or double properties named
-    x, y and z; extra scalar properties are ignored. Binary PLY and list
-    properties on the vertex element are rejected. Lines break where XYZ
-    lines do, at newlines only.
+    lineno is the number of lines before fh's position. The rows go to
+    numpy's C reader first; if it refuses them, they are read again from
+    the same position by the line loop, which raises the ParseError
+    naming the first bad line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        pts = _read_ply_vertices(path, fh, fast=True)
-        if pts is None:
-            fh.seek(0)
-            pts = _read_ply_vertices(path, fh, fast=False)
-        # decode the rest, so a non-ASCII byte anywhere still fails the read
-        while fh.read(1 << 16):
-            pass
-    return PointCloud(pts)
+    start = fh.tell()
+    rows = _loadtxt_rows(fh, width, count)
+    if rows is not None:
+        return rows[:, cols]
+    fh.seek(start)
+    numbered = ((no, line) for no, line in enumerate(fh, start=lineno + 1) if line.strip())
+    pts = _parse_rows(path, islice(numbered, count), width, cols)
+    if count is not None and len(pts) < count:
+        fh.seek(0)
+        raise ParseError(path, sum(1 for _ in fh), "file ends inside element 'vertex'")
+    return pts
 
 
-def _read_ply_vertices(path, fh, fast: bool) -> np.ndarray | None:
-    """Parse the header from fh and return the vertex rows' x, y and z.
+def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
+    """Read the header and the rows of elements before the vertex element.
 
-    With fast set the vertex rows go to _loadtxt_rows, and None means
-    they must be read again with fast unset, from the start of the file.
+    Returns the arguments that make _read_rows read the vertex rows:
+    lines read so far, values per row, the x/y/z columns, and the count.
     """
-    numbered = enumerate(fh, start=1)
-    _, first = next(numbered, (1, ""))
-    if first.strip() != "ply":
+    if fh.readline().strip() != "ply":
         raise ParseError(path, 1, "not a PLY file (missing 'ply' magic line)")
 
     elements: list[tuple[str, int, list[str]]] = []  # (name, count, property names)
     has_list_prop: dict[str, bool] = {}
     format_seen = False
     lineno = 1
-    for lineno, raw in numbered:
+    while raw := fh.readline():
+        lineno += 1
         fields = raw.split()
         if not fields or fields[0] == "comment":
             continue
@@ -230,17 +233,27 @@ def _read_ply_vertices(path, fh, fast: bool) -> np.ndarray | None:
             path, lineno, f"vertex element lacks x/y/z properties (has {props})"
         ) from None
 
-    body = ((no, raw) for no, raw in numbered if raw.strip())
-    for name, count, eprops in elements:
-        if name == "vertex":
-            if fast:
-                rows = _loadtxt_rows(fh, len(eprops), count)
-                return None if rows is None else rows[:, cols]
-            pts = _parse_rows(path, islice(body, count), len(eprops), cols)
-        else:
-            pts = list(islice(body, count))
-        if len(pts) < count:
-            fh.seek(0)
-            raise ParseError(path, sum(1 for _ in fh), f"file ends inside element {name!r}")
-        if name == "vertex":
-            return pts  # remaining elements carry no point data
+    for name, count, _ in elements[: elements.index(vertex)]:
+        while count:  # rows of elements before the vertex element carry no point data
+            raw = fh.readline()
+            if not raw:
+                raise ParseError(path, lineno, f"file ends inside element {name!r}")
+            lineno += 1
+            count -= bool(raw.strip())
+    return lineno, len(props), cols, n_vertices
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a table as ASCII CSV: the header, then one line per row.
+
+    Cells go through the csv module, so rows end in "\\r\\n". A float
+    cell, a numpy float included, is written repr-exact, so float() reads
+    back every bit; None is an empty cell; any other value is str()'d.
+    """
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            )

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
-
-# Largest supported |coordinate|. Two points within it are at most
-# sqrt(12) * MAX_ABS_COORD apart, so squared distances stay below 1.2e301,
-# far from float64 overflow (1.8e308); beyond about 3.9e153 they overflow
-# to inf and the kd-tree reports no neighbor at all.
-MAX_ABS_COORD = 1e150
+from .cloud import MAX_ABS_COORD, PointCloud
 
 _CHUNK_BYTES = 1 << 26  # scratch budget per brute-force row chunk
 

@@ -10,12 +10,15 @@ import numpy as np
 import pytest
 
 from chamferkit import (
+    FitConfig,
     PointCloud,
     TransformSpec,
     chamfer,
     chamfer_poincare,
     default_curve_specs,
     evaluate,
+    fit,
+    read_cloud,
     sample_curves,
     sweep_alpha_lr,
     write_cloud,
@@ -175,6 +178,27 @@ class TestCurves:
         assert main(["curves", "--dmax", "0", "--out", out]) == 2
         assert main(["curves", "--alphas", "1,zap", "--out", out]) == 2
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_small_grid_bytes(self, tmp_path, capsys, normalize):
+        out = tmp_path / "c.csv"
+        args = ["curves", "--kinds", "l1,hyper", "--alphas", "1.5", "--dmax", "1", "--steps", "2"]
+        assert main(args + ["--out", str(out)] + ([] if normalize else ["--no-normalize"])) == 0
+        norm = ("1.0", "0.7559289460184544") if normalize else ("", "")
+        assert out.read_bytes() == (
+            "kind,alpha,beta,d,value,grad,grad_normalized\r\n"
+            "l1,1.5,2.0,0.0,0.0,0.0,\r\n"
+            "l1,1.5,2.0,1.0,1.0,1.0,\r\n"
+            f"hyper,1.5,2.0,0.0,0.0,1.7320508075688772,{norm[0]}\r\n"
+            f"hyper,1.5,2.0,1.0,1.566799236972411,1.3093073414159542,{norm[1]}\r\n"
+        ).encode("ascii")
+
+    @pytest.mark.parametrize("dmax", ["inf", "1e400", "nan"])
+    def test_dmax_must_be_finite(self, tmp_path, capsys, dmax):
+        out = tmp_path / "c.csv"
+        assert main(["curves", "--dmax", dmax, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --dmax must be positive and finite\n"
+        assert not out.exists()
+
     def test_steep_curves_stay_finite_far_out(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(
@@ -239,6 +263,29 @@ class TestFit:
             assert (outdir / f"snapshot_epoch_{epoch:04d}.xyz").exists()
             assert (outdir / f"correspondence_epoch_{epoch:04d}.csv").exists()
 
+    def test_csv_bytes(self, tmp_path, capsys):
+        init = write_xyz(tmp_path / "i.xyz", [[0.1, -0.0, 1e-300], [4.0, 5.0, 6.0]])
+        target = write_xyz(tmp_path / "t.xyz", [[4.5, 5.5, 6.0], [1 / 3, 0.0, -2.5e-8]])
+        outdir = tmp_path / "run"
+        assert main(
+            [
+                "fit", str(tmp_path / "i.xyz"), str(tmp_path / "t.xyz"), "--lr", "0",
+                "--epochs", "2", "--snapshots", "1", "--outdir", str(outdir),
+            ]
+        ) == 0
+        traj = fit(init, target, FitConfig(TransformSpec("hyper", 1.0, 2.0), 0.0, 2))
+        assert (outdir / "loss.csv").read_bytes() == (
+            "epoch,loss,l1_cd\r\n"
+            + "".join(
+                f"{e},{float(traj.losses[e])!r},{float(traj.l1_cd[e])!r}\r\n" for e in (0, 1)
+            )
+        ).encode("ascii")
+        assert (outdir / "correspondence_epoch_0001.csv").read_bytes() == (
+            b"movable_x,movable_y,movable_z,target_x,target_y,target_z\r\n"
+            b"0.1,-0.0,1e-300,0.3333333333333333,0.0,-2.5e-08\r\n"
+            b"4.0,5.0,6.0,4.5,5.5,6.0\r\n"
+        )
+
     def test_bad_snapshots_are_data_errors(self, tmp_path, capsys):
         fi, ft = self.make_pair(tmp_path)
         base = ["fit", fi, ft, "--lr", "0.01", "--epochs", "4", "--outdir", str(tmp_path / "x")]
@@ -285,6 +332,9 @@ class TestSweep:
         captured = capsys.readouterr()
         assert "(1 failed)" in captured.out
         assert "lr=-0.5" in captured.err
+        init, target = read_cloud(tmp_path / "init.xyz"), read_cloud(tmp_path / "target.xyz")
+        cell = float(sweep_alpha_lr(init, target, [1.0], [-0.5, 0.01], epochs=2).final_l1_cd[0, 1])
+        assert (tmp_path / "s.csv").read_bytes() == f"alpha,-0.5,0.01\r\n1.0,,{cell!r}\r\n".encode()
 
 
 class TestEval:
@@ -358,6 +408,16 @@ class TestGen:
         assert main(base + ["--crop-k", "4", "--viewpoint", "1,0"]) == 2
         assert main(base + ["--crop-k", "16", "--viewpoint", "1,0,0"]) == 2
 
+    @pytest.mark.parametrize(
+        "crop", [["--crop-k", "2"], ["--crop-k", "2", "--viewpoint", "nan,0,0"],
+                 ["--crop-k", "2", "--viewpoint", "1e308,0,0"]]
+    )
+    def test_crop_errors_write_no_file(self, tmp_path, capsys, crop):
+        out = str(tmp_path / "p.xyz")
+        assert main(["gen", "--kind", "plane-grid", "--n", "16", "--out", out] + crop) == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_shape_kind_is_usage_error(self, tmp_path, capsys):
         assert main(
             ["gen", "--kind", "torus", "--n", "16", "--out", str(tmp_path / "t.xyz")]
@@ -375,11 +435,15 @@ class TestBench:
         ) == 0
         captured = capsys.readouterr().out
         assert "l2" in captured and "hyper" in captured
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][0] == "kind"
+        header, *rows = out.read_bytes().decode("ascii").split("\r\n")
+        assert header == "kind,phase,n_a,n_b,repeats,mean_s,std_s"
+        assert rows.pop() == ""  # the last row ends in \r\n too
         # two kinds x two phases for the single size
-        assert len(rows) == 1 + 4
+        cells = [r.split(",") for r in rows]
+        assert [c[:5] for c in cells] == [
+            [kind, phase, "32", "32", "3"] for kind in ("l2", "hyper") for phase in ("full", "transform")
+        ]
+        assert all(len(c) == 7 and all(repr(float(v)) == v for v in c[5:]) for c in cells)
 
     def test_too_few_repeats_is_data_error(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "32", "--repeats", "2"]) == 2

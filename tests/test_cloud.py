@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chamferkit import (
+    MAX_ABS_COORD,
     BoundingBox,
     PointCloud,
     as_point,
@@ -165,6 +166,15 @@ class TestPartialViewCrop:
         c = PointCloud([[3, 0, 0], [1, 0, 0], [2, 0, 0], [4, 0, 0]])
         out = partial_view_crop(c, [0, 0, 0], 2)
         np.testing.assert_array_equal(out.points, [[3, 0, 0], [4, 0, 0]])
+
+    def test_viewpoint_within_coordinate_range(self):
+        c = PointCloud([[0, 0, 0], [1, 0, 0], [-1, 0, 0]])
+        out = partial_view_crop(c, [MAX_ABS_COORD, 0, 0], 1)
+        # all three squared distances round to 1e300, so the lowest index goes
+        np.testing.assert_array_equal(out.points, [[1, 0, 0], [-1, 0, 0]])
+        for vp in ([1e308, 0, 0], [0, -2 * MAX_ABS_COORD, 0]):
+            with pytest.raises(ValueError, match="beyond the supported 1e\\+150"):
+                partial_view_crop(c, vp, 1)
 
     def test_bad_k(self):
         c = PointCloud([[0, 0, 0], [1, 1, 1]])

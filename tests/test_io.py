@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+import chamferkit.io
 from chamferkit import ParseError, PointCloud, gen_shape, read_cloud, write_cloud
-from chamferkit.io import _parse_rows, _read_ply_vertices
+from chamferkit.io import write_csv
 
 # characters str.split() treats as whitespace but str.splitlines() as
 # line breaks
@@ -158,6 +161,19 @@ class TestPly:
         with pytest.raises(ParseError, match="ends inside"):
             read_cloud(p)
 
+    def test_truncated_element_before_vertex(self, tmp_path):
+        p = tmp_path / "edges.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\n"
+            "element edge 3\nproperty int a\nproperty int b\n"
+            "element vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n"
+            "0 1\n\n1 2\n"
+        )
+        with pytest.raises(ParseError, match=r"edges\.ply:13: file ends inside element 'edge'$"):
+            read_cloud(p)
+
     def test_body_errors_name_the_file_line(self, tmp_path):
         # blank lines and a preceding element's rows still count toward
         # the reported line number
@@ -257,15 +273,9 @@ class TestLineHandling:
 
 
 def read_by_line_loop(path) -> PointCloud:
-    """read_cloud through the line-by-line parser alone."""
-    with open(path, "r", encoding="ascii") as fh:
-        if path.suffix == ".ply":
-            pts = _read_ply_vertices(path, fh, fast=False)
-        else:
-            pts = _parse_rows(path, enumerate(fh, start=1), 3, (0, 1, 2))
-            if not len(pts):
-                raise ParseError(path, 0, "file contains no points")
-    return PointCloud(pts)
+    """read_cloud with numpy's C reader refusing every file."""
+    with mock.patch.object(chamferkit.io, "_loadtxt_rows", lambda *args: None):
+        return read_cloud(path)
 
 
 def outcome(read, path):
@@ -365,3 +375,16 @@ class TestWriteBytes:
         expected += "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts)
         assert path.read_bytes() == expected.encode("ascii")
         assert read_cloud(path).points.tobytes() == pts.tobytes()
+
+
+class TestWriteCsv:
+    def test_cell_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [["a,b", np.float32(0.1), None], [np.int64(3), 1e-300, -0.0], ["", 1 / 3, 7]]
+        write_csv(path, ["name", "value", "missing"], rows)
+        assert path.read_bytes() == (
+            b"name,value,missing\r\n"
+            b'"a,b",0.10000000149011612,\r\n'
+            b"3,1e-300,-0.0\r\n"
+            b",0.3333333333333333,7\r\n"
+        )
