@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .cloud import SHAPE_KINDS, gen_shape, partial_view_crop
+from .cloud import MAX_ABS_COORD, SHAPE_KINDS, gen_shape, partial_view_crop
 from .distances import TRANSFORM_KINDS, TransformSpec, chamfer, chamfer_poincare
 from .evaluation import THRESHOLD_MODES, evaluate
 from .fitting import (
@@ -81,8 +81,9 @@ def cmd_curves(args) -> int:
                     specs.append(TransformSpec(kind, alpha=alpha, beta=beta))
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    if not 0 < args.dmax < np.inf:  # NaN fails too
-        raise ValueError("--dmax must be positive and finite")
+    # the l2 curve squares d, which overflows beyond about 1.3e154
+    if not 0 < args.dmax <= MAX_ABS_COORD:  # NaN fails too
+        raise ValueError(f"--dmax must be positive and at most {MAX_ABS_COORD:g}")
     grid = np.linspace(0.0, args.dmax, args.steps)
     rows = sample_curves(specs, grid, normalize=not args.no_normalize)
     write_curves_csv(rows, args.out)

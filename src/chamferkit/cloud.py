@@ -152,13 +152,17 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
 
     Models a self-occluded partial scan. Equidistant points are removed
     lowest index first. k must leave at least one point behind, and the
-    viewpoint's coordinates must lie within MAX_ABS_COORD in magnitude.
+    coordinates of the viewpoint and of the cloud must lie within
+    MAX_ABS_COORD in magnitude, so that every squared distance is finite.
     """
     vp = as_point(viewpoint)
-    if np.abs(vp).max() > MAX_ABS_COORD:
-        raise ValueError(
-            f"viewpoint {vp.tolist()} has a coordinate beyond the supported {MAX_ABS_COORD:g}"
-        )
+    for name, pts in (("viewpoint", vp), ("cloud", cloud.points)):
+        largest = np.abs(pts).max()
+        if largest > MAX_ABS_COORD:
+            raise ValueError(
+                f"{name} has a coordinate of magnitude {largest:.6g}, "
+                f"beyond the supported {MAX_ABS_COORD:g}"
+            )
     n = len(cloud)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")

@@ -192,12 +192,19 @@ class TestCurves:
             f"hyper,1.5,2.0,1.0,1.566799236972411,1.3093073414159542,{norm[1]}\r\n"
         ).encode("ascii")
 
-    @pytest.mark.parametrize("dmax", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize("dmax", ["inf", "1e400", "nan", "1e308", "1.0000000000000002e150"])
     def test_dmax_must_be_finite(self, tmp_path, capsys, dmax):
         out = tmp_path / "c.csv"
         assert main(["curves", "--dmax", dmax, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: --dmax must be positive and finite\n"
+        assert capsys.readouterr().err == "error: --dmax must be positive and at most 1e+150\n"
         assert not out.exists()
+
+    def test_every_kind_finite_at_largest_dmax(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["curves", "--kinds", "l1,l2,exp,hyper", "--dmax", "1e150", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "inf" not in text and "nan" not in text
+        assert capsys.readouterr().err == ""
 
     def test_steep_curves_stay_finite_far_out(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

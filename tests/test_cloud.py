@@ -176,6 +176,12 @@ class TestPartialViewCrop:
             with pytest.raises(ValueError, match="beyond the supported 1e\\+150"):
                 partial_view_crop(c, vp, 1)
 
+    def test_cloud_within_coordinate_range(self):
+        # squaring 1e200 would overflow and rank both far points as inf
+        c = PointCloud([[1e200, 0, 0], [0, 0, 0], [2e200, 0, 0]])
+        with pytest.raises(ValueError, match="cloud has a coordinate of magnitude 2e\\+200"):
+            partial_view_crop(c, [0, 0, 0], 1)
+
     def test_bad_k(self):
         c = PointCloud([[0, 0, 0], [1, 1, 1]])
         with pytest.raises(ValueError):

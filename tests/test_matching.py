@@ -151,9 +151,9 @@ def tie_passes(monkeypatch):
     ks = []
     inner = matching._resolve_ties
 
-    def spy(tree, Q, T, queries, best, k):
-        ks.append(k)
-        inner(tree, Q, T, queries, best, k)
+    def spy(*args):
+        ks.append(args[-1])
+        inner(*args)
 
     monkeypatch.setattr(matching, "_resolve_ties", spy)
     return ks
@@ -238,6 +238,16 @@ class TestTieResolution:
         assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
         # 80 tied rows: 7 first-pass chunks of 13, each sending its rows on
         assert tie_passes == [_TIE_K] + [65] * 7
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e-160, 1e-200, 1e-310])
+    def test_tiny_scales_equal_brute(self, scale):
+        # tie radii whose squares are subnormal or 0, where a kd query
+        # bounded by the radius alone would find no candidate at all
+        rng = np.random.default_rng(23)
+        a = PointCloud(snapped_cloud(rng, 300, grid=0.25).points * scale)
+        b = PointCloud(snapped_cloud(rng, 200, grid=0.25).points * scale)
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_matches_equal(match_indexed(b, a), match_brute(b, a))
 
     @seed(20241223)
     @settings(max_examples=60, deadline=2000, database=None)
