@@ -91,9 +91,10 @@ def transform(spec: TransformSpec, d):
         out = -np.expm1(-_power(spec, arr))
     else:
         u = _power(spec, arr)
-        with np.errstate(divide="ignore"):
-            far = np.log(2.0) + np.log(spec.alpha) + spec.beta * np.log(arr)
-        out = np.where(np.isinf(u), far, acosh1p(u))
+        out = np.array(acosh1p(u))
+        # only where u overflows: elsewhere beta * log(d) can overflow itself
+        far = np.isinf(u)
+        out[far] = np.log(2.0) + np.log(spec.alpha) + spec.beta * np.log(arr[far])
     return out if np.ndim(out) else float(out)
 
 
@@ -187,8 +188,11 @@ def chamfer_poincare(a: PointCloud, b: PointCloud) -> SetDistanceReport:
 
     def ball_u(sq, rows):
         # u is a strictly increasing function of the geodesic, so mins and
-        # argmins transfer; acosh is applied to the winners only
-        return 2.0 * sq * (inv_a[rows, None] * inv_b[None, :])
+        # argmins transfer; acosh is applied to the winners only. In place,
+        # with the products of 2.0 * sq * (inv_a[rows, None] * inv_b[None, :])
+        sq *= 2.0
+        sq *= np.multiply.outer(inv_a[rows], inv_b)
+        return sq
 
     fwd_idx, fwd_u, bwd_idx, bwd_u = _argmin_both(A, B, ball_u)
     d1 = float(np.mean(acosh1p(fwd_u)))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cloud import MAX_ABS_COORD, PointCloud
 
-_CHUNK_BYTES = 1 << 26  # scratch budget per brute-force row chunk
+_CHUNK_BYTES = 1 << 21  # scratch budget per brute-force row chunk, about L2 size
 
 # Relative gap below which the two nearest kd-tree candidates are treated
 # as a potential tie and re-resolved exactly.
@@ -96,29 +96,44 @@ def _argmin_both(A: np.ndarray, B: np.ndarray, score=None):
     """Chunked two-way argmin over all pairs of rows of A and B.
 
     Minimizes the canonical squared distances, or score(sq, rows) of
-    them when given, where rows is the slice of A the chunk covers.
-    Returns (fwd_idx, fwd_min, bwd_idx, bwd_min); ties go to the lowest
-    index in both directions.
+    them when given, where rows is the slice of A the chunk covers;
+    score may overwrite sq in place. Returns (fwd_idx, fwd_min, bwd_idx,
+    bwd_min); ties go to the lowest index in both directions.
+
+    Each chunk's (rows, m) squared distances are summed one coordinate at
+    a time, (dx*dx + dy*dy) + dz*dz, the order of pair_sq's length-3 sum,
+    so they carry the same bits; chunks are sized to stay in cache. A
+    column's argmin over the chunk is taken only where the chunk lowers
+    that column's minimum, which after the first chunks is a small share.
     """
     n, m = len(A), len(B)
     fwd_idx = np.empty(n, dtype=np.int64)
     fwd_min = np.empty(n)
     bwd_idx = np.zeros(m, dtype=np.int64)
     bwd_min = np.full(m, np.inf)
+    Bt = np.ascontiguousarray(B.T)
     chunk = max(1, _CHUNK_BYTES // (m * 3 * 8))
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
-        diff = A[rows, None, :] - B[None, :, :]
-        val = (diff * diff).sum(axis=2)
+        a = A[rows]
+        val = np.subtract.outer(a[:, 0], Bt[0])
+        val *= val
+        d = np.subtract.outer(a[:, 1], Bt[1])
+        d *= d
+        val += d
+        np.subtract.outer(a[:, 2], Bt[2], out=d)
+        d *= d
+        val += d
         if score is not None:
             val = score(val, rows)
         idx = val.argmin(axis=1)  # argmin takes the first (lowest) index on ties
         fwd_idx[rows] = idx
         fwd_min[rows] = val[np.arange(len(idx)), idx]
         col_min = val.min(axis=0)
-        col_idx = val.argmin(axis=0) + start
-        better = col_min < bwd_min  # strict, so earlier (lower) rows keep ties
-        bwd_idx[better] = col_idx[better]
+        # strict, so earlier (lower) rows keep ties; the argmin runs over the
+        # improved columns only, as it costs a call per column
+        better = np.flatnonzero(col_min < bwd_min)
+        bwd_idx[better] = val[:, better].argmin(axis=0) + start
         bwd_min[better] = col_min[better]
     return fwd_idx, fwd_min, bwd_idx, bwd_min
 

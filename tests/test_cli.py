@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,19 @@ class TestCurves:
         ) == 0
         text = out.read_text()
         assert "inf" not in text and "nan" not in text
+        assert capsys.readouterr().err == ""
+
+    def test_huge_beta_writes_without_a_warning(self, tmp_path, capsys):
+        # beta * log(d) overflows below d = 1, where u = d**beta is 0 and
+        # the overflow branch of transform is not taken
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["curves", "--kinds", "hyper", "--betas", "1e308", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1 + 200
+        assert rows[-1][:6] == ["hyper", "1.0", "1e+308", "2.0", "6.931471805599452e+307", "5e+307"]
         assert capsys.readouterr().err == ""
 
 

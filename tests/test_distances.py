@@ -279,6 +279,26 @@ class TestChamfer:
         assert rep.value == chamfer(a, b, TransformSpec("l2")).value
 
 
+def ball_scores(a: PointCloud, b: PointCloud) -> np.ndarray:
+    """Full (n, m) matrix of the ball score 2|p-q|^2 / ((1-|p|^2)(1-|q|^2))."""
+    A, B = a.points, b.points
+    inv_a = 1.0 / (1.0 - (A * A).sum(axis=1))
+    inv_b = 1.0 / (1.0 - (B * B).sum(axis=1))
+    diff = A[:, None, :] - B[None, :, :]
+    return 2.0 * (diff * diff).sum(axis=2) * (inv_a[:, None] * inv_b[None, :])
+
+
+def assert_equals_ball_oracle(rep, a: PointCloud, b: PointCloud, u: np.ndarray):
+    A, B = a.points, b.points
+    m = rep.match
+    np.testing.assert_array_equal(m.fwd_idx, u.argmin(axis=1))
+    np.testing.assert_array_equal(m.bwd_idx, u.argmin(axis=0))
+    assert np.array_equal(m.fwd_sq, pair_sq(A, B[m.fwd_idx]))
+    assert np.array_equal(m.bwd_sq, pair_sq(A[m.bwd_idx], B))
+    assert rep.d1 == float(np.mean(acosh1p(u.min(axis=1))))
+    assert rep.d2 == float(np.mean(acosh1p(u.min(axis=0))))
+
+
 class TestChamferPoincare:
     def test_identity_zero(self):
         rng = np.random.default_rng(29)
@@ -346,19 +366,23 @@ class TestChamferPoincare:
         monkeypatch.setattr(matching, "_CHUNK_BYTES", rows_per_chunk * len(b) * 3 * 8)
         assert len(a) >= 3 * rows_per_chunk
 
-        A, B = a.points, b.points
-        inv_a = 1.0 / (1.0 - (A * A).sum(axis=1))
-        inv_b = 1.0 / (1.0 - (B * B).sum(axis=1))
-        diff = A[:, None, :] - B[None, :, :]
-        u = 2.0 * (diff * diff).sum(axis=2) * (inv_a[:, None] * inv_b[None, :])
+        u = ball_scores(a, b)
         assert ((u == u.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
         assert ((u == u.min(axis=0, keepdims=True)).sum(axis=0) > 1).any()
+        assert_equals_ball_oracle(chamfer_poincare(a, b), a, b, u)
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7])
+    def test_near_boundary_scan_over_chunks_matches_full_matrix(self, monkeypatch, rows_per_chunk):
+        # a shell at norms 0.99-0.999 scales its scores by up to 1/(1-0.998)
+        rng = np.random.default_rng(33)
+        clouds = []
+        for n, shell in ((61, 20), (47, 15)):
+            v = rng.standard_normal((shell, 3))
+            v *= (rng.uniform(0.99, 0.999, shell) / np.linalg.norm(v, axis=1))[:, None]
+            pts = np.vstack([ball_cloud(rng, n - shell).points, v])
+            clouds.append(PointCloud(pts[rng.permutation(n)]))
+        a, b = clouds
+        monkeypatch.setattr(matching, "_CHUNK_BYTES", rows_per_chunk * len(b) * 3 * 8)
         rep = chamfer_poincare(a, b)
-        m = rep.match
-        np.testing.assert_array_equal(m.fwd_idx, u.argmin(axis=1))
-        np.testing.assert_array_equal(m.bwd_idx, u.argmin(axis=0))
-        assert np.array_equal(m.fwd_sq, pair_sq(A, B[m.fwd_idx]))
-        assert np.array_equal(m.bwd_sq, pair_sq(A[m.bwd_idx], B))
-        assert rep.d1 == float(np.mean(acosh1p(u.min(axis=1))))
-        assert rep.d2 == float(np.mean(acosh1p(u.min(axis=0))))
+        assert_equals_ball_oracle(rep, a, b, ball_scores(a, b))
+        assert rep.value == rep.d1 + rep.d2

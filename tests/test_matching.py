@@ -6,6 +6,7 @@ from scipy.spatial import cKDTree
 
 from chamferkit import (
     MAX_ABS_COORD,
+    MatchResult,
     PointCloud,
     gen_shape,
     match_brute,
@@ -77,6 +78,28 @@ class TestMatchBrute:
         assert (m.fwd_sq[:, None] <= sq).all()
         assert (m.bwd_sq[None, :] <= sq).all()
         assert (m.fwd_sq >= 0).all() and np.isfinite(m.fwd_sq).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e149])
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+    def test_equals_full_matrix_oracle(self, monkeypatch, rows_per_chunk, scale):
+        # snapped clouds with duplicated rows tie in both directions; 60 and
+        # 50 query rows leave a partial last chunk at 7 rows per chunk, and
+        # at 1e-160 the squared distances are subnormal or 0
+        rng = np.random.default_rng(37)
+        a_pts = snapped_cloud(rng, 45).points
+        b_pts = snapped_cloud(rng, 40).points
+        a = PointCloud(np.vstack([a_pts, a_pts[rng.integers(0, 45, 15)]]) * scale)
+        b = PointCloud(np.vstack([b_pts, b_pts[rng.integers(0, 40, 10)]]) * scale)
+        for q, t in ((a, b), (b, a), (PointCloud(a.points[:1]), b), (a, PointCloud(b.points[:1]))):
+            rows = rows_per_chunk or len(q)
+            monkeypatch.setattr(matching, "_CHUNK_BYTES", rows * len(t) * 3 * 8)
+            diff = q.points[:, None, :] - t.points[None, :, :]
+            sq = (diff * diff).sum(axis=2)
+            if len(q) > 1 and len(t) > 1:
+                assert ((sq == sq.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+                assert ((sq == sq.min(axis=0, keepdims=True)).sum(axis=0) > 1).any()
+            oracle = MatchResult(sq.argmin(axis=1), sq.min(axis=1), sq.argmin(axis=0), sq.min(axis=0))
+            assert_matches_equal(match_brute(q, t), oracle)
 
     def test_chunked_path_consistent(self):
         # force many row chunks by exceeding the scratch budget
