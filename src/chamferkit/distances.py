@@ -11,6 +11,13 @@ from .matching import MatchResult, _argmin_both, match_indexed, pair_sq
 
 TRANSFORM_KINDS = ("l1", "l2", "exp", "hyper")
 
+# Largest alpha accepted for 'exp' and 'hyper'. sqrt(2*alpha), the 'hyper'
+# weight at d = 0 and the divisor of its normalized curve, overflows once
+# alpha > 9e307; at this bound it is 1.4e75, and the gradient coefficient
+# t'(d)/d stays below 6.4e236, as a nonzero matched distance is at least
+# 2.2e-162, the root of the least subnormal squared distance.
+MAX_ALPHA = 1e150
+
 
 # Above this u, log(2) + log1p(u) is arccosh(1 + u) to within 1/(4*u*u),
 # far below one ulp, while u*(u + 2) overflows from about 1.3e154.
@@ -41,9 +48,9 @@ class TransformSpec:
     kind 'l1' is the identity, 'l2' squares, 'exp' saturates as
     1 - exp(-alpha * d**beta), and 'hyper' grows like
     arccosh(1 + alpha * d**beta): near-quadratic close to zero, then
-    logarithmic, which is what tames far-away outlier pairs. alpha and
-    beta must be positive and finite for 'exp' and 'hyper'; the other two
-    kinds ignore them.
+    logarithmic, which is what tames far-away outlier pairs. For 'exp'
+    and 'hyper', alpha must lie in (0, MAX_ALPHA] and beta must be
+    positive and finite; the other two kinds ignore them.
     """
 
     kind: str
@@ -56,8 +63,8 @@ class TransformSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         if self.kind in ("exp", "hyper"):
-            if not (np.isfinite(self.alpha) and self.alpha > 0):
-                raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+            if not 0 < self.alpha <= MAX_ALPHA:  # NaN fails too
+                raise ValueError(f"alpha must be positive and at most {MAX_ALPHA:g}, got {self.alpha}")
             if not (np.isfinite(self.beta) and self.beta > 0):
                 raise ValueError(f"beta must be positive and finite, got {self.beta}")
 

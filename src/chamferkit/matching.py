@@ -2,9 +2,9 @@
 
 Two interchangeable routes: an exhaustive O(n*m) scan and a kd-tree
 accelerated one. Both break distance ties toward the smallest target
-index and store squared distances computed with the same arithmetic
-(((a - b)**2).sum(-1)), so their results are bit-identical; tests hold
-them to that.
+index and store squared distances computed with the same arithmetic,
+one coordinate at a time in the order (dx*dx + dy*dy) + dz*dz, so their
+results are bit-identical; tests hold them to that.
 
 The accelerated route builds a sliding-midpoint kd-tree on each cloud
 and queries the rows of one cloud in the leaf order of its own tree, so
@@ -45,7 +45,7 @@ _TIE_RTOL = 1e-9
 # (8-way ties of a shifted 3-D lattice, duplicates) take another pass.
 _TIE_K = 5
 # Tied rows re-queried at once in the first pass; passes with a larger k
-# take proportionally fewer, so the (rows, k, 3) scratch stays this size.
+# take proportionally fewer, so the (k, rows) scratch stays this size.
 _TIE_CHUNK_ROWS = 2048
 
 
@@ -67,9 +67,15 @@ class MatchResult:
 
 
 def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Canonical squared distance between aligned rows of two (N, 3) arrays."""
+    """Canonical squared distance between aligned rows of two (..., 3) arrays.
+
+    Summed one coordinate at a time, (dx*dx + dy*dy) + dz*dz: the order,
+    and so the bits, of (diff * diff).sum(axis=-1), without the overhead
+    of a reduction over a length-3 axis.
+    """
     diff = points_a - points_b
-    return (diff * diff).sum(axis=-1)
+    diff *= diff
+    return (diff[..., 0] + diff[..., 1]) + diff[..., 2]
 
 
 def _check_range(a: PointCloud, b: PointCloud) -> None:
@@ -101,7 +107,7 @@ def _argmin_both(A: np.ndarray, B: np.ndarray, score=None):
     bwd_min); ties go to the lowest index in both directions.
 
     Each chunk's (rows, m) squared distances are summed one coordinate at
-    a time, (dx*dx + dy*dy) + dz*dz, the order of pair_sq's length-3 sum,
+    a time, (dx*dx + dy*dy) + dz*dz, the order pair_sq sums in,
     so they carry the same bits; chunks are sized to stay in cache. A
     column's argmin over the chunk is taken only where the chunk lowers
     that column's minimum, which after the first chunks is a small share.
@@ -209,16 +215,27 @@ def _resolve_ties(tree, Q, T, queries, radii, best, k):
         # and the floor keeps it above 0 where d0 is 0 or its square
         # underflows
         bound = max(float(r.max()) * (1.0 + _TIE_RTOL), 1e-150)
-        dist, idx = tree.query(Q[rows], k=k, distance_upper_bound=bound)
-        inside = dist <= r[:, None]
-        # candidates beyond the bound come back as index len(T)
-        near = T[np.minimum(idx, len(T) - 1)]
-        sq = np.where(inside, pair_sq(Q[rows, None, :], near), np.inf)
-        exact = sq == sq.min(axis=1, keepdims=True)
-        best[rows] = np.where(exact, idx, len(T)).min(axis=1)
-        spill = inside[:, -1]
+        q = Q[rows]
+        dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
+        # scored candidate-major, (k, rows), one coordinate at a time in
+        # pair_sq's order, so that the reductions over candidates run along
+        # contiguous rows; candidates beyond the bound come back as index
+        # len(T)
+        j = np.minimum(idx.T, len(T) - 1, order="C")
+        sq = q[:, 0] - T[:, 0][j]
+        sq *= sq
+        for c in (1, 2):
+            d = q[:, c] - T[:, c][j]
+            d *= d
+            sq += d
+        inside = np.less_equal(dist.T, r, order="C")
+        sq[~inside] = np.inf
+        # every exact minimizer is inside the radius, where j equals idx
+        j[sq != sq.min(axis=0)] = len(T)
+        best[rows] = j.min(axis=0)
+        spill = inside[-1]
         if k < len(T) and spill.any():
-            count = tree.query_ball_point(Q[rows[spill]], r[spill], return_length=True)
+            count = tree.query_ball_point(q[spill], r[spill], return_length=True)
             _resolve_ties(
                 tree, Q, T, rows[spill], r[spill], best, max(int(count.max()) + 1, 2 * k + 1)
             )

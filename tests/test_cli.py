@@ -230,6 +230,30 @@ class TestCurves:
         assert rows[-1][:6] == ["hyper", "1.0", "1e+308", "2.0", "6.931471805599452e+307", "5e+307"]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("kinds", ["hyper", "exp"])
+    @pytest.mark.parametrize("alpha", ["1.0000000000000002e150", "1e308", "inf", "nan", "0"])
+    def test_alpha_out_of_range_is_data_error(self, tmp_path, capsys, kinds, alpha):
+        # sqrt(2 * alpha) overflowed to grad=inf and grad_normalized=nan at 1e308
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["curves", "--kinds", kinds, "--alphas", alpha, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha must be positive and at most 1e+150, got ")
+        assert not out.exists()
+
+    def test_largest_alpha_is_finite(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(
+                ["curves", "--kinds", "hyper,exp", "--alphas", "1e150", "--dmax", "1e150",
+                 "--out", str(out)]
+            ) == 0
+        text = out.read_text()
+        assert "inf" not in text and "nan" not in text
+        assert capsys.readouterr().err == ""
+
 
 class TestFit:
     def make_pair(self, tmp_path):
@@ -356,6 +380,40 @@ class TestSweep:
         init, target = read_cloud(tmp_path / "init.xyz"), read_cloud(tmp_path / "target.xyz")
         cell = float(sweep_alpha_lr(init, target, [1.0], [-0.5, 0.01], epochs=2).final_l1_cd[0, 1])
         assert (tmp_path / "s.csv").read_bytes() == f"alpha,-0.5,0.01\r\n1.0,,{cell!r}\r\n".encode()
+
+    def test_alpha_out_of_range_runs_no_cell(self, tmp_path, capsys):
+        # at 1e308 the fit's gradient scatter met inf * 0 and raised
+        rng = np.random.default_rng(75)
+        write_cloud(uniform_cloud(rng, 10), tmp_path / "init.xyz")
+        write_cloud(uniform_cloud(rng, 10), tmp_path / "target.xyz")
+        out = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(
+                [
+                    "sweep", str(tmp_path / "init.xyz"), str(tmp_path / "target.xyz"),
+                    "--alphas", "1,1e308", "--lrs", "0.05", "--epochs", "3", "--out", str(out),
+                ]
+            ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: alpha must be positive and at most 1e+150, got 1e+308\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_largest_alpha_sweeps_without_a_warning(self, tmp_path, capsys):
+        rng = np.random.default_rng(76)
+        write_cloud(uniform_cloud(rng, 10), tmp_path / "init.xyz")
+        write_cloud(uniform_cloud(rng, 10), tmp_path / "target.xyz")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(
+                [
+                    "sweep", str(tmp_path / "init.xyz"), str(tmp_path / "target.xyz"),
+                    "--alphas", "1e150", "--lrs", "0.05", "--epochs", "3",
+                    "--out", str(tmp_path / "s.csv"),
+                ]
+            ) == 0
+        assert "(0 failed)" in capsys.readouterr().out
 
 
 class TestEval:

@@ -14,8 +14,11 @@ from chamferkit import (
     pair_sq,
     poincare_distance,
     transform,
+    transform_derivative,
+    weight_z,
 )
 from chamferkit import matching
+from chamferkit.distances import MAX_ALPHA
 
 from testutil import ball_cloud, mixed_cloud, naive_chamfer, snapped_cloud, uniform_cloud
 
@@ -49,6 +52,17 @@ class TestTransformSpec:
                 TransformSpec(kind, beta=0.0)
             with pytest.raises(ValueError):
                 TransformSpec(kind, alpha=np.inf)
+
+    def test_alpha_range_keeps_values_finite(self):
+        # sqrt(2 * alpha), the hyper weight at d = 0, overflows beyond 9e307
+        d = np.array([0.0, 1e-300, 1.0, 1e150])
+        for kind in ("exp", "hyper"):
+            with pytest.raises(ValueError, match=r"at most 1e\+150"):
+                TransformSpec(kind, alpha=np.nextafter(MAX_ALPHA, np.inf))
+            spec = TransformSpec(kind, alpha=MAX_ALPHA)
+            assert np.isfinite(transform(spec, d)).all()
+            assert np.isfinite(transform_derivative(spec, d)).all()
+        assert np.isfinite(weight_z(d, MAX_ALPHA)).all()
 
     def test_l1_l2_ignore_parameters(self):
         TransformSpec("l1", alpha=-5.0)  # no error: parameters unused

@@ -27,6 +27,26 @@ def assert_matches_equal(m1, m2):
     np.testing.assert_array_equal(m1.bwd_sq, m2.bwd_sq)
 
 
+class TestPairSq:
+    @pytest.mark.parametrize("scale", [1.0, 1e149, 1e-160, 1e-310])
+    def test_bits_equal_length3_sum(self, scale):
+        # the oracle sums (dx*dx + dy*dy) + dz*dz, the order every matcher
+        # and the tie pass take; at 1e-160 the squares are subnormal or 0
+        rng = np.random.default_rng(24)
+        a = rng.uniform(-1.0, 1.0, (400, 3)) * scale
+        b = rng.uniform(-1.0, 1.0, (400, 3)) * scale
+        a[::7, 0] = -0.0
+        b[::5, 2] = -0.0
+        b[::11] = a[::11]
+        idx = rng.integers(0, len(b), (len(a), 5))
+        for q, t in ((a, b), (a[:, None, :], b[idx]), (a[3], b)):
+            diff = q - t
+            oracle = (diff * diff).sum(axis=-1)
+            got = pair_sq(q, t)
+            assert got.shape == oracle.shape
+            assert got.tobytes() == oracle.tobytes()
+
+
 class TestMatchBrute:
     def test_identity_matching(self):
         c = PointCloud([[0, 0, 0], [1, 0, 0]])
@@ -213,6 +233,39 @@ class TestTieResolution:
         b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)])
         assert len(tied_rows(a, b, 2)) > _TIE_CHUNK_ROWS
         assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+
+    @pytest.mark.parametrize("scale", [1e149, 1e-160])
+    def test_scaled_shifted_grid_equals_brute(self, scale):
+        # 4-way ties at the largest and a tiny scale, where the tie radii
+        # square to subnormals or 0 and the candidates' gathered-column
+        # scores must still carry pair_sq's bits
+        n = 4096
+        side = int(np.sqrt(n))
+        grid = gen_shape("plane-grid", n, seed=0).points
+        half = 0.5 / (side - 1)
+        rng = np.random.default_rng(24)
+        a = PointCloud(grid[rng.permutation(n)] * scale)
+        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)] * scale)
+        assert len(tied_rows(a, b, 4)) > _TIE_CHUNK_ROWS
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_matches_equal(match_indexed(b, a), match_brute(b, a))
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**480])
+    def test_mirrored_candidates_tie_by_rounding(self, scale):
+        # each query has two nearest targets whose offsets are the same
+        # three coordinates in reverse order: equidistant exactly, but the
+        # canonical sums round apart, so the tie pass must score them in
+        # pair_sq's order to pick brute's winner (differences are exact,
+        # as every target lies within a factor 2 of its query)
+        rng = np.random.default_rng(25)
+        n = 600
+        centres = 4.0 + 16.0 * np.arange(n)[:, None] * np.ones(3)
+        offsets = rng.uniform(-1.0, 1.0, (n, 3))
+        queries = PointCloud(centres * scale)
+        target = PointCloud(np.vstack([centres + offsets, centres + offsets[:, ::-1]]) * scale)
+        fwd_sq = pair_sq(queries.points, target.points[:n])
+        assert (fwd_sq != pair_sq(queries.points, target.points[n:])).sum() > n // 10
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
 
     def test_duplicates_64_times_take_a_counted_pass(self, tie_passes):
         # every query ties with all 64 copies of its nearest point: the k=2
