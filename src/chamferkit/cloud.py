@@ -16,6 +16,16 @@ SHAPE_KINDS = ("sphere-surface", "box-surface", "plane-grid", "l-bracket")
 MAX_ABS_COORD = 1e150
 
 
+def check_coord_range(name: str, points: np.ndarray) -> None:
+    """Raise ValueError if a coordinate of points exceeds MAX_ABS_COORD in magnitude."""
+    largest = max(points.max(), -points.min())
+    if largest > MAX_ABS_COORD:
+        raise ValueError(
+            f"{name} has a coordinate of magnitude {largest:.6g}, "
+            f"beyond the supported {MAX_ABS_COORD:g}"
+        )
+
+
 def as_point(p) -> np.ndarray:
     """Validate a single 3D point, returned as a float64 array of shape (3,)."""
     arr = np.asarray(p, dtype=np.float64).reshape(-1)
@@ -156,13 +166,8 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     MAX_ABS_COORD in magnitude, so that every squared distance is finite.
     """
     vp = as_point(viewpoint)
-    for name, pts in (("viewpoint", vp), ("cloud", cloud.points)):
-        largest = np.abs(pts).max()
-        if largest > MAX_ABS_COORD:
-            raise ValueError(
-                f"{name} has a coordinate of magnitude {largest:.6g}, "
-                f"beyond the supported {MAX_ABS_COORD:g}"
-            )
+    check_coord_range("viewpoint", vp)
+    check_coord_range("cloud", cloud.points)
     n = len(cloud)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")

@@ -1,4 +1,4 @@
-"""Per-pair distance transforms and the Chamfer-style set distances."""
+"""Per-pair distance transforms, their slopes, and the Chamfer-style set distances."""
 
 from __future__ import annotations
 
@@ -103,6 +103,51 @@ def transform(spec: TransformSpec, d):
         far = np.isinf(u)
         out[far] = np.log(2.0) + np.log(spec.alpha) + spec.beta * np.log(arr[far])
     return out if np.ndim(out) else float(out)
+
+
+def transform_derivative(spec: TransformSpec, d):
+    """Derivative of spec's transform with respect to the raw distance d.
+
+    Evaluated at d = 0 this returns the one-sided limit where it exists
+    (0 for 'l1' by the subgradient convention, 0 for 'l2', the finite
+    limit sqrt(2*alpha) for 'hyper' with beta = 2) and inf where the
+    curve has a vertical tangent (beta < 2 for 'hyper', beta < 1 for
+    'exp'). Far out, where u = alpha * d**beta overflows, 'exp' returns
+    its limit 0 and 'hyper' its asymptote beta/d, both finite.
+    """
+    arr = _checked_distances(d)
+    a, b = spec.alpha, spec.beta
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if spec.kind == "l1":
+            out = np.where(arr > 0, 1.0, 0.0)
+        elif spec.kind == "l2":
+            out = 2.0 * arr
+        elif spec.kind == "exp":
+            # 0 where exp(-u) underflows: the decay beats any power of d
+            e = np.exp(-_power(spec, arr))
+            out = np.where(e > 0, a * b * arr ** (b - 1.0) * e, 0.0)
+        else:
+            # (beta/2) d**(beta/2 - 1) times weight_z's curve in h = d**(beta/2);
+            # at beta = 2 both powers are exact, so u is alpha*d*d
+            h = arr ** (b / 2.0)
+            u = a * h * h
+            out = (b / 2.0) * arr ** (b / 2.0 - 1.0) * (np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0))
+            # where u overflows the quotient is beta/d to far below one ulp
+            out = np.where(np.isinf(u), b / arr, out)
+    return out if np.ndim(out) else float(out)
+
+
+def weight_z(d, alpha: float = 1.0):
+    """Per-pair gradient weight 2*alpha*d / sqrt((1 + alpha*d^2)^2 - 1).
+
+    Evaluated in the cancellation-free equivalent form
+    sqrt(2*alpha) / sqrt(1 + alpha*d^2/2), which returns the analytic
+    d -> 0 limit sqrt(2*alpha) exactly, with no special case. Strictly
+    decreasing in d: well-matched pairs keep their pull while far
+    outliers are damped. Where alpha*d^2 overflows it returns the
+    asymptote 2/d, finite and without a warning.
+    """
+    return transform_derivative(TransformSpec("hyper", alpha, 2.0), d)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import MAX_ABS_COORD, PointCloud
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
 from .io import write_csv
-from .matching import MAX_ABS_COORD, MatchResult, match_indexed
+from .matching import MatchResult, match_indexed
 
 _L1_SPEC = TransformSpec("l1")
 
@@ -72,7 +72,8 @@ class FitTrajectory:
 def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajectory:
     """Descend chamfer(movable, target, config.spec) from initial.
 
-    Full re-matching every epoch, update movable -= lr * grad. Raises
+    Matches and scores each of the states 0..epochs afresh; every state
+    but the last then takes the update movable -= lr * grad. Raises
     DivergenceError the moment the loss leaves the finite range or any
     coordinate leaves the matchers' range |x| <= MAX_ABS_COORD.
     Deterministic: same inputs, same trajectory.
@@ -83,37 +84,35 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
     l1_cd = np.empty(config.epochs)
     snapshots: list[tuple[int, PointCloud, MatchResult]] = []
 
-    for epoch in range(config.epochs):
+    for epoch in range(config.epochs + 1):
         cloud = PointCloud(current)
         # overflow during the step is the divergence signal itself; the
         # finiteness checks below turn it into a DivergenceError
         with np.errstate(over="ignore"):
             match = match_indexed(cloud, target)
+            l1 = chamfer(cloud, target, _L1_SPEC, match=match).value
+            if epoch in wanted:
+                snapshots.append((epoch, cloud, match))
+            if epoch == config.epochs:
+                break
             grad = chamfer_gradient(cloud, target, config.spec, match=match)
             if not np.isfinite(grad.loss_value):
                 raise DivergenceError(epoch, f"loss is {grad.loss_value}")
             losses[epoch] = grad.loss_value
-            l1_cd[epoch] = chamfer(cloud, target, _L1_SPEC, match=match).value
-            if epoch in wanted:
-                snapshots.append((epoch, cloud, match))
+            l1_cd[epoch] = l1
             current = current - config.learning_rate * grad.vectors
         if not (np.abs(current) <= MAX_ABS_COORD).all():  # NaN fails too
             raise DivergenceError(
                 epoch, f"update produced coordinates non-finite or beyond {MAX_ABS_COORD:g}"
             )
 
-    final_cloud = PointCloud(current)
-    final_match = match_indexed(final_cloud, target)
-    final_l1 = chamfer(final_cloud, target, _L1_SPEC, match=final_match).value
-    if config.epochs in wanted:
-        snapshots.append((config.epochs, final_cloud, final_match))
     return FitTrajectory(
         config=config,
         target=target,
         losses=losses,
         l1_cd=l1_cd,
-        final_cloud=final_cloud,
-        final_l1_cd=final_l1,
+        final_cloud=cloud,
+        final_l1_cd=l1,
         snapshots=snapshots,
     )
 

@@ -14,64 +14,14 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .cloud import PointCloud
-from .distances import TransformSpec, _checked_distances, _power, chamfer, transform
+from .distances import TransformSpec, chamfer, transform, transform_derivative
 from .io import write_csv
-from .matching import MatchResult, match_brute, match_indexed
+from .matching import MatchResult, match_brute, match_indexed, pair_sq
 
 # A configuration counts as smooth when every matched distance clears this
 # and every runner-up candidate is farther than the tie margin.
 SMOOTH_DISTANCE_EPS = 1e-6
 SMOOTH_TIE_EPS = 1e-6
-
-
-def weight_z(d, alpha: float = 1.0):
-    """Per-pair gradient weight 2*alpha*d / sqrt((1 + alpha*d^2)^2 - 1).
-
-    Evaluated in the cancellation-free equivalent form
-    sqrt(2*alpha) / sqrt(1 + alpha*d^2/2), which returns the analytic
-    d -> 0 limit sqrt(2*alpha) exactly, with no special case. Strictly
-    decreasing in d: well-matched pairs keep their pull while far
-    outliers are damped. Where alpha*d^2 overflows it returns the
-    asymptote 2/d, finite and without a warning.
-    """
-    return transform_derivative(TransformSpec("hyper", alpha, 2.0), d)
-
-
-def transform_derivative(spec: TransformSpec, d):
-    """Derivative of spec's transform with respect to the raw distance d.
-
-    Evaluated at d = 0 this returns the one-sided limit where it exists
-    (0 for 'l1' by the subgradient convention, 0 for 'l2', the finite
-    limit sqrt(2*alpha) for 'hyper' with beta = 2) and inf where the
-    curve has a vertical tangent (beta < 2 for 'hyper', beta < 1 for
-    'exp'). Far out, where u = alpha * d**beta overflows, 'exp' returns
-    its limit 0 and 'hyper' its asymptote beta/d, both finite.
-    """
-    arr = _checked_distances(d)
-    a, b = spec.alpha, spec.beta
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if spec.kind == "l1":
-            out = np.where(arr > 0, 1.0, 0.0)
-        elif spec.kind == "l2":
-            out = 2.0 * arr
-        elif spec.kind == "exp":
-            # 0 where exp(-u) underflows: the decay beats any power of d
-            e = np.exp(-_power(spec, arr))
-            out = np.where(e > 0, a * b * arr ** (b - 1.0) * e, 0.0)
-        else:
-            if b == 2.0:
-                # the weight curve of weight_z; alpha*d*d rather than _power's
-                # alpha*d**2.0, which rounds differently for some alpha
-                u = a * arr * arr
-                out = np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0)
-            else:
-                u = _power(spec, arr)
-                # beta*sqrt(alpha)*d^(beta/2-1) / sqrt(alpha*d^beta + 2),
-                # the cancellation-free rearrangement of the raw quotient
-                out = b * np.sqrt(a) * arr ** (b / 2.0 - 1.0) / np.sqrt(u + 2.0)
-            # where u overflows the quotient is beta/d to far below one ulp
-            out = np.where(np.isinf(u), b / arr, out)
-    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -159,8 +109,7 @@ def is_smooth_config(
     comparison between the two is moot.
     """
     A, B = movable.points, target.points
-    diff = A[:, None, :] - B[None, :, :]
-    dm = np.sqrt((diff * diff).sum(axis=2))
+    dm = np.sqrt(pair_sq(A[:, None, :], B[None, :, :]))
     for axis in (1, 0):
         ordered = np.sort(dm, axis=axis)
         nearest = ordered.take(0, axis=axis)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import MAX_ABS_COORD, PointCloud
+from .cloud import PointCloud, check_coord_range
 
 _CHUNK_BYTES = 1 << 21  # scratch budget per brute-force row chunk, about L2 size
 
@@ -78,23 +78,13 @@ def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     return (diff[..., 0] + diff[..., 1]) + diff[..., 2]
 
 
-def _check_range(a: PointCloud, b: PointCloud) -> None:
-    for name, cloud in (("first", a), ("second", b)):
-        pts = cloud.points
-        largest = max(pts.max(), -pts.min())
-        if largest > MAX_ABS_COORD:
-            raise ValueError(
-                f"{name} cloud has a coordinate of magnitude {largest:.6g}, "
-                f"beyond the supported {MAX_ABS_COORD:g}"
-            )
-
-
 def match_brute(a: PointCloud, b: PointCloud) -> MatchResult:
     """Exhaustive matching; the reference the accelerated route is held to.
 
     Raises ValueError if a coordinate exceeds MAX_ABS_COORD in magnitude.
     """
-    _check_range(a, b)
+    check_coord_range("first cloud", a.points)
+    check_coord_range("second cloud", b.points)
     return MatchResult(*_argmin_both(a.points, b.points))
 
 
@@ -155,7 +145,8 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     canonical arithmetic. Raises ValueError if a coordinate exceeds
     MAX_ABS_COORD in magnitude, as match_brute does.
     """
-    _check_range(a, b)
+    check_coord_range("first cloud", a.points)
+    check_coord_range("second cloud", b.points)
     # imported on the first kd build: scipy takes longer to import than
     # the rest of the package, and only this route needs it
     from scipy.spatial import cKDTree

@@ -92,6 +92,13 @@ class TestDistance:
         assert main(["distance", str(tmp_path / "nope.xyz"), str(tmp_path / "p.xyz")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_ply_header_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex -1\n")
+        write_xyz(tmp_path / "p.xyz", [[0.0, 0.0, 0.0]])
+        assert main(["distance", str(bad), str(tmp_path / "p.xyz")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: negative element count\n"
+
     def test_bad_kind_is_usage_error(self, pair_files, capsys):
         fa, fb, _, _ = pair_files
         assert main(["distance", str(fa), str(fb), "--kind", "manhattan"]) == 1
@@ -178,6 +185,9 @@ class TestCurves:
         assert main(["curves", "--steps", "1", "--out", out]) == 2
         assert main(["curves", "--dmax", "0", "--out", out]) == 2
         assert main(["curves", "--alphas", "1,zap", "--out", out]) == 2
+        capsys.readouterr()
+        assert main(["curves", "--alphas", ",", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --alphas expects at least one value\n"
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_small_grid_bytes(self, tmp_path, capsys, normalize):
@@ -582,6 +592,22 @@ def run_python(args, cwd) -> subprocess.CompletedProcess:
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("module", ["chamferkit", "chamferkit.cli"])
+class TestModuleEntry:
+    """python -m runs the same command line as the console script."""
+
+    def test_help(self, tmp_path, module):
+        proc = run_python(["-m", module, "--help"], tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: chamferkit ")
+
+    def test_missing_file_is_io_error(self, tmp_path, module):
+        (tmp_path / "b.xyz").write_text("0 0 0\n")
+        proc = run_python(["-m", module, "distance", "missing.xyz", "b.xyz"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
 
 
 class TestStartup:

@@ -224,6 +224,11 @@ class TestJitterAndOutliers:
         np.testing.assert_array_equal(a.points, b.points)
         assert jitter_cloud(c, 0.0, seed=3) == c
 
+    def test_jitter_rejects_negative_sigma(self):
+        c = gen_shape("sphere-surface", 8, seed=0)
+        with pytest.raises(ValueError, match="sigma"):
+            jitter_cloud(c, -1.0, seed=3)
+
     def test_displace_outliers_count_and_distance(self):
         c = gen_shape("sphere-surface", 128, seed=1)
         out, idx = displace_outliers(c, 0.05, 20.0, seed=9)

@@ -144,6 +144,10 @@ class TestTransform:
         expected = [math.acosh(1.0 + x) for x in u]
         np.testing.assert_allclose(acosh1p(u), expected, rtol=1e-15)
 
+    def test_acosh1p_rejects_negative_u(self):
+        with pytest.raises(ValueError, match="u >= 0"):
+            acosh1p(-1.0)
+
     @pytest.mark.parametrize(
         "alpha,beta,d",
         [(1.0, 3.0, 1e103), (1.0, 8.0, 1e103), (0.5, 3.0, 3.5e150), (1e10, 2.0, 3.5e150)],
@@ -212,6 +216,10 @@ class TestClipToBall:
         c = PointCloud(rng.normal(scale=2.0, size=(200, 3)))
         out = clip_to_ball(c, 0.97)
         assert (np.linalg.norm(out.points, axis=1) <= 0.97 + 1e-15).all()
+
+    def test_inside_cloud_is_returned_as_is(self):
+        c = PointCloud([[0.5, 0, 0], [0, -0.9, 0], [0.1, 0.2, 0.3]])
+        assert clip_to_ball(c, 0.9) is c
 
     def test_invalid_max_norm(self):
         c = PointCloud([[0, 0, 0]])

@@ -85,6 +85,33 @@ class TestTransformDerivative:
                 transform_derivative(spec, d), weight_z(d, alpha)
             )
 
+    def test_hyper_beta2_bits_pinned(self):
+        # the one hyper formula keeps the bits of the weight curve at beta = 2,
+        # from d = 0 through subnormal d to where alpha*d*d overflows
+        d = np.array([0.0, 5e-324, 1e-160, 1.0, 2.0, 1e150, 1e160])
+        for alpha in (1e-10, 0.5, 1.0, 3.7, 1e150):
+            with np.errstate(over="ignore", divide="ignore"):
+                u = alpha * d * d
+                expected = np.where(
+                    np.isinf(u), 2.0 / d, np.sqrt(2.0 * alpha) / np.sqrt(1.0 + u / 2.0)
+                )
+            spec = TransformSpec("hyper", alpha, 2.0)
+            got = transform_derivative(spec, d)
+            assert got.tobytes() == expected.tobytes()
+            for x, e in zip(d, expected):
+                assert np.float64(transform_derivative(spec, float(x))).tobytes() == e.tobytes()
+
+    def test_hyper_finite_at_tiny_d_and_huge_alpha(self):
+        # beta < 2: d**(beta/2 - 1) is about 2e253 here and sqrt(alpha) 1e69,
+        # so their product overflows unless the weight curve, about
+        # 2*sqrt(alpha/u) at this u ~ 4e48, damps it first; the slope is
+        # then beta/d to within 1/u
+        spec = TransformSpec("hyper", 1e138, 0.3)
+        d = 1e-298
+        u = 1e138 * d**0.3
+        expected = 0.3 / d * np.sqrt(u / (u + 2.0))
+        assert transform_derivative(spec, d) == pytest.approx(expected, rel=1e-13)
+
     def test_zero_distance_limits_by_beta(self):
         # vertical tangent below beta=2, finite limit at 2, flat above
         assert transform_derivative(TransformSpec("hyper", 1.0, 1.0), 0.0) == np.inf

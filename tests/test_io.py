@@ -202,6 +202,57 @@ class TestPly:
         with pytest.raises(ParseError, match=":8: expected 3 values"):
             read_cloud(p)
 
+    @pytest.mark.parametrize(
+        "header,line,message",
+        [
+            ("ply\nformat ascii 1.0\nelement vertex\n", 3, "malformed element declaration"),
+            ("ply\nformat ascii 1.0\nelement vertex many\n", 3, "bad element count 'many'"),
+            ("ply\nformat ascii 1.0\nelement vertex -1\n", 3, "negative element count"),
+            ("ply\nformat ascii 1.0\nproperty float x\n", 3, "property before any element"),
+            (
+                "ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n",
+                4,
+                "malformed property declaration",
+            ),
+            (
+                "ply\nformat ascii 1.0\nelement vertex 1\nvertices 1\n",
+                4,
+                "unexpected header keyword 'vertices'",
+            ),
+            (
+                "ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property float x\nproperty float y\nproperty float z\n",
+                6,
+                "missing end_header",
+            ),
+            (
+                "ply\nelement vertex 1\n"
+                "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n",
+                6,
+                "missing format declaration",
+            ),
+            (
+                "ply\nformat ascii 1.0\nelement vertex 1\nproperty list uchar int ids\n"
+                "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n",
+                8,
+                "list properties on the vertex element are not supported",
+            ),
+            (
+                "ply\nformat ascii 1.0\nelement vertex 1\n"
+                "property float x\nproperty float y\nend_header\n0 0\n",
+                6,
+                "vertex element lacks x/y/z properties (has ['x', 'y'])",
+            ),
+        ],
+    )
+    def test_header_errors_name_the_file_line(self, tmp_path, header, line, message):
+        p = tmp_path / "head.ply"
+        p.write_text(header)
+        with pytest.raises(ParseError) as exc_info:
+            read_cloud(p)
+        assert str(exc_info.value) == f"{p}:{line}: {message}"
+        assert exc_info.value.line == line
+
 
 class TestFormatSelection:
     def test_inferred_from_suffix(self, tmp_path):
