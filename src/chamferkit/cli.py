@@ -2,8 +2,8 @@
 library: file outputs are produced by the same writer functions tests
 call directly, so the two routes are byte-identical.
 
-Exit codes: 0 success, 1 usage error, 2 data or domain error, 3 I/O
-error.
+Exit codes: 0 success, 1 usage error, 2 data or domain error (a size
+too large to allocate included), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, DivergenceError) as exc:
+    except (ValueError, DivergenceError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -16,10 +16,21 @@ SHAPE_KINDS = ("sphere-surface", "box-surface", "plane-grid", "l-bracket")
 MAX_ABS_COORD = 1e150
 
 
+def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
+    """Canonical squared distance between aligned rows of two (..., 3) arrays.
+
+    Summed one coordinate at a time, (dx*dx + dy*dy) + dz*dz: the order, and
+    so the bits, of (diff * diff).sum(axis=-1), without a length-3 reduction.
+    """
+    diff = points_a - points_b
+    diff *= diff
+    return (diff[..., 0] + diff[..., 1]) + diff[..., 2]
+
+
 def check_coord_range(name: str, points: np.ndarray) -> None:
-    """Raise ValueError if a coordinate of points exceeds MAX_ABS_COORD in magnitude."""
+    """Raise ValueError unless every coordinate of points is within MAX_ABS_COORD in magnitude."""
     largest = max(points.max(), -points.min())
-    if largest > MAX_ABS_COORD:
+    if not largest <= MAX_ABS_COORD:  # NaN fails too
         raise ValueError(
             f"{name} has a coordinate of magnitude {largest:.6g}, "
             f"beyond the supported {MAX_ABS_COORD:g}"
@@ -171,9 +182,8 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     n = len(cloud)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    sq = ((cloud.points - vp) ** 2).sum(axis=1)
     # stable sort makes equal distances come out in index order
-    order = np.argsort(sq, kind="stable")
+    order = np.argsort(pair_sq(cloud.points, vp), kind="stable")
     keep = np.ones(n, dtype=bool)
     keep[order[:k]] = False
     return PointCloud(cloud.points[keep])

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, as_point
-from .matching import MatchResult, _argmin_both, match_indexed, pair_sq
+from .cloud import PointCloud, as_point, pair_sq
+from .matching import MatchResult, _argmin_both, match_indexed
 
 TRANSFORM_KINDS = ("l1", "l2", "exp", "hyper")
 
@@ -17,6 +17,12 @@ TRANSFORM_KINDS = ("l1", "l2", "exp", "hyper")
 # t'(d)/d stays below 6.4e236, as a nonzero matched distance is at least
 # 2.2e-162, the root of the least subnormal squared distance.
 MAX_ALPHA = 1e150
+
+# Largest beta accepted for 'exp' and 'hyper'. With alpha at most
+# MAX_ALPHA, the 'exp' slope's factor alpha*beta stays at most 1e300, and
+# beta*log(d) in the far form of 'hyper' below 3.5e152 for every distance
+# two accepted clouds can have (at most sqrt(12) * MAX_ABS_COORD).
+MAX_BETA = 1e150
 
 
 # Above this u, log(2) + log1p(u) is arccosh(1 + u) to within 1/(4*u*u),
@@ -49,8 +55,8 @@ class TransformSpec:
     1 - exp(-alpha * d**beta), and 'hyper' grows like
     arccosh(1 + alpha * d**beta): near-quadratic close to zero, then
     logarithmic, which is what tames far-away outlier pairs. For 'exp'
-    and 'hyper', alpha must lie in (0, MAX_ALPHA] and beta must be
-    positive and finite; the other two kinds ignore them.
+    and 'hyper', alpha must lie in (0, MAX_ALPHA] and beta in
+    (0, MAX_BETA]; the other two kinds ignore them.
     """
 
     kind: str
@@ -65,8 +71,8 @@ class TransformSpec:
         if self.kind in ("exp", "hyper"):
             if not 0 < self.alpha <= MAX_ALPHA:  # NaN fails too
                 raise ValueError(f"alpha must be positive and at most {MAX_ALPHA:g}, got {self.alpha}")
-            if not (np.isfinite(self.beta) and self.beta > 0):
-                raise ValueError(f"beta must be positive and finite, got {self.beta}")
+            if not 0 < self.beta <= MAX_BETA:  # NaN fails too
+                raise ValueError(f"beta must be positive and at most {MAX_BETA:g}, got {self.beta}")
 
 
 def _checked_distances(d) -> np.ndarray:
@@ -123,15 +129,22 @@ def transform_derivative(spec: TransformSpec, d):
         elif spec.kind == "l2":
             out = 2.0 * arr
         elif spec.kind == "exp":
-            # 0 where exp(-u) underflows: the decay beats any power of d
+            # 0 where exp(-u) underflows: the decay beats any power of d;
+            # inf where d**(beta - 1) overflows, even if alpha*beta underflows
             e = np.exp(-_power(spec, arr))
-            out = np.where(e > 0, a * b * arr ** (b - 1.0) * e, 0.0)
+            p = arr ** (b - 1.0)
+            out = np.where(e > 0, np.where(np.isinf(p), np.inf, a * b * p * e), 0.0)
         else:
-            # (beta/2) d**(beta/2 - 1) times weight_z's curve in h = d**(beta/2);
-            # at beta = 2 both powers are exact, so u is alpha*d*d
+            # (beta/2) d**(beta/2 - 1) times weight_z's curve in h = d**(beta/2).
+            # d**(beta/2 - 1) is g*g with the curve multiplied in between, as
+            # alone it can be subnormal or overflow where the slope is not;
+            # beta is halved after the multiply by g, as the least subnormal
+            # beta halves to 0.
+            # At beta = 2 every power is exact: u is alpha*d*d and g is 1
             h = arr ** (b / 2.0)
             u = a * h * h
-            out = (b / 2.0) * arr ** (b / 2.0 - 1.0) * (np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0))
+            g = arr ** ((b / 2.0 - 1.0) / 2.0)
+            out = b * g / 2.0 * (np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0)) * g
             # where u overflows the quotient is beta/d to far below one ulp
             out = np.where(np.isinf(u), b / arr, out)
     return out if np.ndim(out) else float(out)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import MAX_ABS_COORD, PointCloud
+from .cloud import PointCloud, check_coord_range
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
 from .io import write_csv
@@ -101,10 +101,10 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
             losses[epoch] = grad.loss_value
             l1_cd[epoch] = l1
             current = current - config.learning_rate * grad.vectors
-        if not (np.abs(current) <= MAX_ABS_COORD).all():  # NaN fails too
-            raise DivergenceError(
-                epoch, f"update produced coordinates non-finite or beyond {MAX_ABS_COORD:g}"
-            )
+        try:
+            check_coord_range("updated cloud", current)
+        except ValueError as exc:
+            raise DivergenceError(epoch, str(exc)) from None
 
     return FitTrajectory(
         config=config,

@@ -13,10 +13,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, pair_sq
 from .distances import TransformSpec, chamfer, transform, transform_derivative
 from .io import write_csv
-from .matching import MatchResult, match_brute, match_indexed, pair_sq
+from .matching import MatchResult, match_brute, match_indexed
 
 # A configuration counts as smooth when every matched distance clears this
 # and every runner-up candidate is farther than the tie margin.
@@ -177,7 +177,7 @@ def sample_curves(
         grads = np.atleast_1d(transform_derivative(spec, d))
         norm = None
         if normalize and spec.kind == "hyper" and spec.beta == 2.0:
-            norm = grads / np.sqrt(2.0 * spec.alpha)
+            norm = grads / transform_derivative(spec, 0.0)
         for i in range(d.size):
             rows.append(
                 CurveRow(

@@ -15,6 +15,7 @@ import csv
 import math
 import os
 import warnings
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -166,6 +167,16 @@ def _read_rows(path, fh, lineno: int, width: int, cols, count: int | None = None
     return pts
 
 
+@dataclass
+class _PlyElement:
+    """A PLY header element: name, row count, scalar property names, list flag."""
+
+    name: str
+    count: int
+    props: list[str]
+    has_list: bool = False
+
+
 def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
     """Read the header and the rows of elements before the vertex element.
 
@@ -175,8 +186,7 @@ def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
     if fh.readline().strip() != "ply":
         raise ParseError(path, 1, "not a PLY file (missing 'ply' magic line)")
 
-    elements: list[tuple[str, int, list[str]]] = []  # (name, count, property names)
-    has_list_prop: dict[str, bool] = {}
+    elements: list[_PlyElement] = []
     format_seen = False
     lineno = 1
     while raw := fh.readline():
@@ -197,16 +207,14 @@ def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
                 raise ParseError(path, lineno, f"bad element count {fields[2]!r}") from None
             if count < 0:
                 raise ParseError(path, lineno, "negative element count")
-            elements.append((fields[1], count, []))
-            has_list_prop.setdefault(fields[1], False)
+            elements.append(_PlyElement(fields[1], count, []))
         elif fields[0] == "property":
             if not elements:
                 raise ParseError(path, lineno, "property before any element")
-            name, count, props = elements[-1]
             if len(fields) >= 2 and fields[1] == "list":
-                has_list_prop[name] = True
+                elements[-1].has_list = True
             elif len(fields) == 3:
-                props.append(fields[2])
+                elements[-1].props.append(fields[2])
             else:
                 raise ParseError(path, lineno, "malformed property declaration")
         elif fields[0] == "end_header":
@@ -218,29 +226,28 @@ def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
 
     if not format_seen:
         raise ParseError(path, lineno, "missing format declaration")
-    vertex = next((e for e in elements if e[0] == "vertex"), None)
+    vertex = next((e for e in elements if e.name == "vertex"), None)  # the first one
     if vertex is None:
         raise ParseError(path, lineno, "no vertex element declared")
-    _, n_vertices, props = vertex
-    if n_vertices == 0:
+    if vertex.count == 0:
         raise ParseError(path, lineno, "vertex element declares zero vertices")
-    if has_list_prop["vertex"]:
+    if vertex.has_list:
         raise ParseError(path, lineno, "list properties on the vertex element are not supported")
     try:
-        cols = [props.index(c) for c in ("x", "y", "z")]
+        cols = [vertex.props.index(c) for c in ("x", "y", "z")]
     except ValueError:
         raise ParseError(
-            path, lineno, f"vertex element lacks x/y/z properties (has {props})"
+            path, lineno, f"vertex element lacks x/y/z properties (has {vertex.props})"
         ) from None
 
-    for name, count, _ in elements[: elements.index(vertex)]:
-        while count:  # rows of elements before the vertex element carry no point data
+    for element in elements[: elements.index(vertex)]:
+        while element.count:  # rows of elements before the vertex element carry no point data
             raw = fh.readline()
             if not raw:
-                raise ParseError(path, lineno, f"file ends inside element {name!r}")
+                raise ParseError(path, lineno, f"file ends inside element {element.name!r}")
             lineno += 1
-            count -= bool(raw.strip())
-    return lineno, len(props), cols, n_vertices
+            element.count -= bool(raw.strip())
+    return lineno, len(vertex.props), cols, vertex.count
 
 
 def write_csv(path, header, rows) -> None:

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, check_coord_range
+from .cloud import PointCloud, check_coord_range, pair_sq
 
 _CHUNK_BYTES = 1 << 21  # scratch budget per brute-force row chunk, about L2 size
 
-# Relative gap below which the two nearest kd-tree candidates are treated
-# as a potential tie and re-resolved exactly.
+# A query whose runner-up lies within its tie radius d0 * (1 + _TIE_RTOL),
+# d0 its nearest distance, is a potential tie and is re-resolved exactly.
 _TIE_RTOL = 1e-9
 
 # Candidates fetched per tied query in the first tie pass. A plane grid
@@ -64,18 +64,6 @@ class MatchResult:
     fwd_sq: np.ndarray
     bwd_idx: np.ndarray
     bwd_sq: np.ndarray
-
-
-def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Canonical squared distance between aligned rows of two (..., 3) arrays.
-
-    Summed one coordinate at a time, (dx*dx + dy*dy) + dz*dz: the order,
-    and so the bits, of (diff * diff).sum(axis=-1), without the overhead
-    of a reduction over a length-3 axis.
-    """
-    diff = points_a - points_b
-    diff *= diff
-    return (diff[..., 0] + diff[..., 1]) + diff[..., 2]
 
 
 def match_brute(a: PointCloud, b: PointCloud) -> MatchResult:
@@ -173,14 +161,13 @@ def _indexed_nearest(tree, Q, T, order):
     dist, idx = tree.query(Q[order], k=2)
     best = np.empty(len(Q), dtype=np.int64)
     best[order] = idx[:, 0]
-    d0 = dist[:, 0]
-    # catches exact ties (gap 0) and near-ties the tree may have ordered
-    # by its own rounding; 1e-9 is far above kd arithmetic error
-    ambiguous = np.flatnonzero(dist[:, 1] - d0 <= _TIE_RTOL * d0)
-    radii = d0[ambiguous] * (1.0 + _TIE_RTOL)
-    del dist, idx, d0
+    # a runner-up inside the tie radius marks an exact tie or a near-tie the
+    # tree may have ordered by its own rounding; 1e-9 is far above kd error
+    radii = dist[:, 0] * (1.0 + _TIE_RTOL)
+    ambiguous = np.flatnonzero(dist[:, 1] <= radii)
+    del dist, idx
     if len(ambiguous):
-        _resolve_ties(tree, Q, T, order[ambiguous], radii, best, _TIE_K)
+        _resolve_ties(tree, Q, T, order[ambiguous], radii[ambiguous], best, _TIE_K)
     return best, pair_sq(Q, T[best])
 
 

@@ -228,17 +228,41 @@ class TestCurves:
         assert capsys.readouterr().err == ""
 
     def test_huge_beta_writes_without_a_warning(self, tmp_path, capsys):
-        # beta * log(d) overflows below d = 1, where u = d**beta is 0 and
-        # the overflow branch of transform is not taken
+        # at the largest accepted beta, u = d**beta is 0 below d = 1, where
+        # the overflow branch of transform is not taken, and inf above it,
+        # where beta * log(d) is finite
         out = tmp_path / "c.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["curves", "--kinds", "hyper", "--betas", "1e308", "--out", str(out)]) == 0
+            assert main(["curves", "--kinds", "hyper", "--betas", "1e150", "--out", str(out)]) == 0
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 200
-        assert rows[-1][:6] == ["hyper", "1.0", "1e+308", "2.0", "6.931471805599452e+307", "5e+307"]
+        assert rows[-1][:6] == ["hyper", "1.0", "1e+150", "2.0", "6.931471805599453e+149", "5e+149"]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # alpha*beta overflowed, then inf * 0 wrote NaN slopes
+            ["--kinds", "exp", "--alphas", "1e150", "--betas", "1e200"],
+            # beta*log(d) overflowed to inf values
+            ["--dmax", "1e150", "--betas", "1e308"],
+            ["--kinds", "hyper,exp", "--betas", "1.0000000000000002e150"],
+            ["--kinds", "exp", "--betas", "inf"],
+            ["--kinds", "hyper", "--betas", "nan"],
+            ["--kinds", "exp", "--betas", "0"],
+        ],
+    )
+    def test_beta_out_of_range_is_data_error(self, tmp_path, capsys, args):
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["curves", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: beta must be positive and at most 1e+150, got ")
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("kinds", ["hyper", "exp"])
     @pytest.mark.parametrize("alpha", ["1.0000000000000002e150", "1e308", "inf", "nan", "0"])
@@ -561,6 +585,51 @@ class TestTopLevel:
         monkeypatch.setenv("CHAMFERKIT_WORKERS", "many")
         assert main(["distance", str(fa), str(fb)]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["distance", "fit"])
+    def test_beta_out_of_range_is_data_error(self, pair_files, tmp_path, capsys, command):
+        fa, fb, _, _ = pair_files
+        args = [command, str(fa), str(fb), "--beta", "1e200"]
+        if command == "fit":
+            args += ["--lr", "0.01", "--epochs", "2", "--outdir", str(tmp_path / "run")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: beta must be positive and at most 1e+150, got 1e+200\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "call,argv",
+        [
+            ("read_cloud", ["distance", "a.xyz", "b.xyz"]),
+            ("sample_curves", ["curves", "--steps", "200", "--out", "c.csv"]),
+            ("fit", ["fit", "a.xyz", "b.xyz", "--lr", "0.01", "--epochs", "2", "--outdir", "run"]),
+            ("sweep_alpha_lr", ["sweep", "a.xyz", "b.xyz", "--alphas", "1", "--lrs", "0.01",
+                                "--epochs", "2", "--out", "s.csv"]),
+            ("evaluate", ["eval", "a.xyz", "b.xyz"]),
+            ("gen_shape", ["gen", "--kind", "sphere-surface", "--n", "64", "--out", "g.xyz"]),
+            ("bench_mod.run_bench", ["bench", "--sizes", "32", "--repeats", "3"]),
+        ],
+    )
+    def test_size_that_cannot_be_allocated_is_data_error(
+        self, pair_files, monkeypatch, capsys, call, argv
+    ):
+        # a size numpy cannot allocate, such as gen --n 1e13, raises
+        # MemoryError from inside the library; the call is made to raise it
+        # here, so that nothing is allocated for real
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def cannot_allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(f"chamferkit.cli.{call}", cannot_allocate)
+        monkeypatch.chdir(pair_files[0].parent)
+        before = sorted(os.listdir())
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(os.listdir()) == before
 
     def test_console_script_target_is_callable(self):
         tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11

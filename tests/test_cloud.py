@@ -13,6 +13,7 @@ from chamferkit import (
     normalize_to_unit_box,
     partial_view_crop,
 )
+from chamferkit.cloud import check_coord_range
 
 
 class TestPointCloud:
@@ -121,6 +122,17 @@ class TestGenShape:
             gen_shape("torus", 10, seed=0)
         with pytest.raises(ValueError, match="at least 1"):
             gen_shape("sphere-surface", 0, seed=0)
+
+
+class TestCheckCoordRange:
+    def test_limit_accepted(self):
+        check_coord_range("cloud", np.array([[MAX_ABS_COORD, -MAX_ABS_COORD, -0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.nextafter(MAX_ABS_COORD, np.inf)])
+    def test_nan_and_beyond_rejected(self, bad):
+        for row in ([[bad, 0, 0]], [[0, 0, 0], [1, bad, 1]]):
+            with pytest.raises(ValueError, match="beyond the supported 1e\\+150"):
+                check_coord_range("cloud", np.array(row))
 
 
 class TestPartialViewCrop:

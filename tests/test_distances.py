@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chamferkit import (
     PointCloud,
@@ -18,7 +20,7 @@ from chamferkit import (
     weight_z,
 )
 from chamferkit import matching
-from chamferkit.distances import MAX_ALPHA
+from chamferkit.distances import MAX_ALPHA, MAX_BETA
 
 from testutil import ball_cloud, mixed_cloud, naive_chamfer, snapped_cloud, uniform_cloud
 
@@ -63,6 +65,37 @@ class TestTransformSpec:
             assert np.isfinite(transform(spec, d)).all()
             assert np.isfinite(transform_derivative(spec, d)).all()
         assert np.isfinite(weight_z(d, MAX_ALPHA)).all()
+
+    def test_beta_range(self):
+        for kind in ("exp", "hyper"):
+            for beta in (np.nextafter(MAX_BETA, np.inf), 1e308, np.inf, np.nan, 0.0, -1.0):
+                with pytest.raises(ValueError, match=r"beta must be positive and at most 1e\+150"):
+                    TransformSpec(kind, beta=beta)
+            assert TransformSpec(kind, alpha=MAX_ALPHA, beta=MAX_BETA).beta == MAX_BETA
+
+    # A nonzero distance between two accepted points is at least 2.2e-162,
+    # the root of the least subnormal square, and at most sqrt(12) *
+    # MAX_ABS_COORD. Below that range a slope can exceed the float range
+    # itself: exp with beta = 1/32 has a slope of about 1e311 at d = 1e-323.
+    @seed(20261020)
+    @settings(max_examples=200, deadline=2000, database=None)
+    @given(
+        st.sampled_from(["exp", "hyper"]),
+        st.floats(0.0, MAX_ALPHA, exclude_min=True),
+        st.floats(0.0, MAX_BETA, exclude_min=True),
+        st.lists(st.one_of(st.just(0.0), st.floats(2.2e-162, 3.47e150)), min_size=1, max_size=16),
+    )
+    def test_parameter_range_keeps_values_finite(self, kind, alpha, beta, distances):
+        # every accepted spec and distance gives a finite value and slope,
+        # without a warning, but for the documented vertical tangent at 0
+        spec = TransformSpec(kind, alpha, beta)
+        d = np.array(distances)
+        value = transform(spec, d)
+        slope = transform_derivative(spec, d)
+        assert np.isfinite(value).all() and (value >= 0).all()
+        tangent = (d == 0) & (beta < (1.0 if kind == "exp" else 2.0))
+        assert (slope[tangent] == np.inf).all()
+        assert np.isfinite(slope[~tangent]).all() and (slope[~tangent] >= 0).all()
 
     def test_l1_l2_ignore_parameters(self):
         TransformSpec("l1", alpha=-5.0)  # no error: parameters unused

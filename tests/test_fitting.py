@@ -6,6 +6,7 @@ import pytest
 from chamferkit import (
     DivergenceError,
     FitConfig,
+    GradientField,
     PointCloud,
     TransformSpec,
     chamfer,
@@ -19,6 +20,7 @@ from chamferkit import (
     write_loss_csv,
     write_sweep_csv,
 )
+from chamferkit import fitting
 
 from testutil import uniform_cloud
 
@@ -107,6 +109,32 @@ class TestFit:
         with pytest.raises(DivergenceError, match="epoch") as exc_info:
             fit(a, b, FitConfig(spec=L2, learning_rate=1e3, epochs=500))
         assert exc_info.value.epoch >= 1
+
+    def test_overflowing_update_diverges_at_epoch_0(self):
+        a = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        b = PointCloud([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(DivergenceError, match="updated cloud has a coordinate") as exc_info:
+            fit(a, b, FitConfig(spec=L2, learning_rate=1e308, epochs=5))
+        assert exc_info.value.epoch == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2e150])
+    def test_non_finite_or_out_of_range_update_diverges(self, monkeypatch, bad):
+        # the loss stays finite, so only the range check can catch the update
+        a = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        b = PointCloud([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        calls = []
+
+        def gradient(cloud, target, spec, match):
+            calls.append(len(calls))
+            vectors = np.zeros_like(cloud.points)
+            vectors[1, 2] = bad if len(calls) == 2 else 0.0
+            return GradientField(vectors, 1.0)
+
+        monkeypatch.setattr(fitting, "chamfer_gradient", gradient)
+        with pytest.raises(DivergenceError) as exc_info:
+            fit(a, b, FitConfig(spec=L2, learning_rate=1.0, epochs=5))
+        assert exc_info.value.epoch == 1
+        assert "beyond the supported 1e+150" in str(exc_info.value)
 
     def test_deterministic(self):
         noisy, clean = jittered_sphere(n=64)

@@ -112,6 +112,30 @@ class TestTransformDerivative:
         expected = 0.3 / d * np.sqrt(u / (u + 2.0))
         assert transform_derivative(spec, d) == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,d,expected",
+        [
+            # (beta/2) d**(beta/2 - 1) sqrt(2 alpha) / sqrt(1 + alpha d**beta / 2),
+            # evaluated with 60-digit mpmath
+            (1e150, 6.0, 1e-160, 4.2426406871192850093e-245),
+            (1e100, 6.5, 1e-150, 1.4534441853748633348e-287),
+        ],
+    )
+    def test_hyper_slope_where_the_power_is_subnormal(self, alpha, beta, d, expected):
+        # d**(beta/2 - 1) alone is subnormal or 0 here, the slope is not;
+        # taking it whole lost five digits in the first case and all of
+        # them in the second
+        got = transform_derivative(TransformSpec("hyper", alpha, beta), d)
+        assert abs(got - expected) <= 1e-15 * expected
+
+    def test_zero_distance_tangent_when_coefficients_underflow(self):
+        # alpha*beta (exp) and beta/2 (hyper) round to 0 here; the vertical
+        # tangent at d = 0 came out as 0 * inf = nan
+        assert transform_derivative(TransformSpec("exp", 1e-300, 1e-300), 0.0) == np.inf
+        assert transform_derivative(TransformSpec("hyper", 1.0, 5e-324), 0.0) == np.inf
+        slope = transform_derivative(TransformSpec("exp", 1e-300, 1e-300), np.array([0.0, 1.0]))
+        assert slope.tolist() == [np.inf, 0.0]
+
     def test_zero_distance_limits_by_beta(self):
         # vertical tangent below beta=2, finite limit at 2, flat above
         assert transform_derivative(TransformSpec("hyper", 1.0, 1.0), 0.0) == np.inf

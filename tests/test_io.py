@@ -120,6 +120,31 @@ class TestPly:
         )
         np.testing.assert_array_equal(read_cloud(p).points, [[1, 2, 3], [4, 5, 6]])
 
+    def test_repeated_vertex_name_reads_the_first_block(self, tmp_path):
+        # the second block's list property is not the first block's; it
+        # was once judged in its place
+        p = tmp_path / "two.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\n"
+            "element vertex 1\nproperty float x\nproperty float y\nproperty float z\n"
+            "element vertex 1\nproperty list uchar int ids\n"
+            "end_header\n"
+            "1 2 3\n2 7 8\n"
+        )
+        np.testing.assert_array_equal(read_cloud(p).points, [[1, 2, 3]])
+
+    def test_list_property_on_the_first_vertex_block_rejected(self, tmp_path):
+        p = tmp_path / "two.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\n"
+            "element vertex 1\nproperty list uchar int ids\n"
+            "element vertex 1\nproperty float x\nproperty float y\nproperty float z\n"
+            "end_header\n"
+            "2 7 8\n1 2 3\n"
+        )
+        with pytest.raises(ParseError, match="list properties on the vertex element"):
+            read_cloud(p)
+
     def test_extra_elements_skipped(self, tmp_path):
         p = tmp_path / "faces.ply"
         p.write_text(
@@ -425,6 +450,34 @@ class TestWriteBytes:
         expected = PLY_XYZ_HEADER.format(n) if suffix == ".ply" else ""
         expected += "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts)
         assert path.read_bytes() == expected.encode("ascii")
+        assert read_cloud(path).points.tobytes() == pts.tobytes()
+
+
+# every float class the writer must carry: signed zeros, subnormals, the
+# normal range's ends, the coordinate range's ends and anything finite
+_EXACT_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]),
+    st.floats(-1e-307, 1e-307, allow_subnormal=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRoundTripProperty:
+    @seed(20261019)
+    @settings(
+        max_examples=100,
+        deadline=2000,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(st.tuples(_EXACT_FLOATS, _EXACT_FLOATS, _EXACT_FLOATS), min_size=1, max_size=20),
+        st.sampled_from([".xyz", ".ply"]),
+    )
+    def test_write_read_is_bit_exact(self, tmp_path, rows, suffix):
+        pts = np.array(rows, dtype=np.float64)
+        path = tmp_path / f"r{suffix}"
+        write_cloud(PointCloud(pts), path)
         assert read_cloud(path).points.tobytes() == pts.tobytes()
 
 

@@ -340,6 +340,35 @@ class TestTieResolution:
         assert_matches_equal(match_indexed(a, b), match_brute(a, b))
 
 
+class TestIndexedEqualsBruteProperty:
+    @seed(20261021)
+    @settings(max_examples=120, deadline=2000, database=None)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.floats(-320.0, 149.0),
+        st.sampled_from(["uniform", "snapped", "duplicated"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_indices_and_bits(self, n, m, exponent, layout, cloud_seed):
+        # scales from subnormal coordinates, where most squared distances
+        # are 0, to the top of the coordinate range
+        rng = np.random.default_rng(cloud_seed)
+        scale = 10.0**exponent
+
+        def cloud(k):
+            pts = rng.uniform(-1.0, 1.0, (k, 3))
+            if layout != "uniform":
+                pts = np.round(pts * 4.0) / 4.0
+            if layout == "duplicated":
+                pts = pts[rng.permutation(np.resize(np.arange(k), 4 * k))]
+            return PointCloud(pts * scale)
+
+        a, b = cloud(n), cloud(m)
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_matches_equal(match_indexed(b, a), match_brute(b, a))
+
+
 class TestCoordinateRange:
     def test_limit_is_accepted_and_agrees(self):
         a = PointCloud([[MAX_ABS_COORD, 0, 0], [0, 0, 0]])
