@@ -85,6 +85,11 @@ def cmd_curves(args) -> int:
     if not 0 < args.dmax <= MAX_ABS_COORD:  # NaN fails too
         raise ValueError(f"--dmax must be positive and at most {MAX_ABS_COORD:g}")
     grid = np.linspace(0.0, args.dmax, args.steps)
+    # two clouds' nonzero distances are at least the root of the least
+    # subnormal squared distance; below it steep slopes overflow
+    least = np.sqrt(5e-324)
+    if grid[1] < least:
+        raise ValueError(f"--dmax / (--steps - 1) must be at least {least:.6g}, got {grid[1]:.6g}")
     rows = sample_curves(specs, grid, normalize=not args.no_normalize)
     write_curves_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -213,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="set distance between two cloud files")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    _add_spec_flags(p, TRANSFORM_KINDS + ("poincare",))
+    _add_spec_flags(p, bench_mod.BENCH_KINDS)
     _add_format_flag(p)
     p.add_argument(
         "--scale-display",

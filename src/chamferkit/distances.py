@@ -193,24 +193,41 @@ def chamfer(
     return SetDistanceReport(d1 + d2, d1, d2, match)
 
 
+def _ball_sq(points) -> tuple[np.ndarray, np.ndarray]:
+    """|p|^2 of each row, summed in pair_sq's order, and the one unit-ball test: below 1."""
+    sq = pair_sq(points, 0.0)
+    return sq, sq < 1.0
+
+
+def _ball_inv(name: str, points) -> np.ndarray:
+    """1 / (1 - |p|^2) of each row of points; ValueError unless all lie strictly inside."""
+    sq, inside = _ball_sq(points)
+    if not inside.all():
+        raise ValueError(
+            f"{name} is not strictly inside the unit ball "
+            f"(max norm {np.sqrt(sq.max()):.6g}); clip_to_ball first"
+        )
+    return 1.0 / (1.0 - sq)
+
+
+def _ball_u(sq, inv_p, inv_q):
+    """Ball score 2*sq*(inv_p*inv_q), in place in an array sq; the geodesic is arccosh(1 + u)."""
+    sq *= 2.0
+    sq *= inv_p * inv_q
+    return sq
+
+
 def poincare_distance(p, q) -> float:
     """Geodesic distance between two points strictly inside the unit ball.
 
-    arccosh(1 + 2*||p-q||^2 / ((1-||p||^2)*(1-||q||^2))). Points on or
-    outside the boundary have no finite geodesic and are rejected; see
-    clip_to_ball for pulling a cloud into the domain first.
+    arccosh(1 + 2*||p-q||^2 / ((1-||p||^2)*(1-||q||^2))), the pair term of
+    chamfer_poincare bit for bit. Points on or outside the boundary have
+    no finite geodesic and are rejected; see clip_to_ball for pulling a
+    cloud into the domain first.
     """
     p = as_point(p)
     q = as_point(q)
-    pn = float(p @ p)
-    qn = float(q @ q)
-    if pn >= 1.0 or qn >= 1.0:
-        raise ValueError(
-            f"points must lie strictly inside the unit ball, got norms "
-            f"{np.sqrt(pn):.6g} and {np.sqrt(qn):.6g}"
-        )
-    diff = p - q
-    u = 2.0 * float(diff @ diff) / ((1.0 - pn) * (1.0 - qn))
+    u = _ball_u(pair_sq(p, q), _ball_inv("first point", p), _ball_inv("second point", q))
     return acosh1p(u)
 
 
@@ -218,16 +235,20 @@ def clip_to_ball(cloud: PointCloud, max_norm: float = 0.999) -> PointCloud:
     """Radially scale any point with norm above max_norm down onto that radius.
 
     Deliberately a separate, explicit step: the ball-model distance never
-    clips on its own.
+    clips on its own. Every point of the result passes its unit-ball test.
     """
     if not 0.0 < max_norm < 1.0:
         raise ValueError(f"max_norm must be in (0, 1), got {max_norm}")
-    norms = np.linalg.norm(cloud.points, axis=1)
+    norms = np.sqrt(_ball_sq(cloud.points)[0])
     over = norms > max_norm
     if not over.any():
         return cloud
     pts = cloud.points.copy()
     pts[over] *= (max_norm / norms[over])[:, None]
+    # the scaling rounds, so with max_norm within a few ulp of 1 a scaled
+    # row can still fail the unit-ball test: step it inwards until it passes
+    while not (inside := _ball_sq(pts)[1]).all():
+        pts[~inside] = np.nextafter(pts[~inside], 0.0)
     return PointCloud(pts)
 
 
@@ -240,24 +261,11 @@ def chamfer_poincare(a: PointCloud, b: PointCloud) -> SetDistanceReport:
     strictly inside the unit ball.
     """
     A, B = a.points, b.points
-    an = (A * A).sum(axis=1)
-    bn = (B * B).sum(axis=1)
-    for name, norms in (("first", an), ("second", bn)):
-        if (norms >= 1.0).any():
-            raise ValueError(
-                f"{name} cloud has points on or outside the unit ball "
-                f"(max norm {np.sqrt(norms.max()):.6g}); clip_to_ball first"
-            )
-    inv_a = 1.0 / (1.0 - an)
-    inv_b = 1.0 / (1.0 - bn)
+    inv_a = _ball_inv("first cloud", A)
+    inv_b = _ball_inv("second cloud", B)
 
-    def ball_u(sq, rows):
-        # u is a strictly increasing function of the geodesic, so mins and
-        # argmins transfer; acosh is applied to the winners only. In place,
-        # with the products of 2.0 * sq * (inv_a[rows, None] * inv_b[None, :])
-        sq *= 2.0
-        sq *= np.multiply.outer(inv_a[rows], inv_b)
-        return sq
+    def ball_u(sq, rows):  # increasing in the geodesic: acosh goes to the winners only
+        return _ball_u(sq, inv_a[rows, None], inv_b)
 
     fwd_idx, fwd_u, bwd_idx, bwd_u = _argmin_both(A, B, ball_u)
     d1 = float(np.mean(acosh1p(fwd_u)))

@@ -140,15 +140,16 @@ def sweep_alpha_lr(
     Each cell runs an independent fit from the same initial cloud and
     records the final plain-l1 chamfer value, the common currency for
     comparing runs trained under different alphas. An alpha TransformSpec
-    rejects raises ValueError before any cell runs; divergent cells, and
-    cells with an invalid learning rate, become NaN instead of aborting
-    the sweep.
+    rejects, or epochs FitConfig rejects, raises ValueError before any
+    cell runs; divergent cells, and cells with an invalid learning rate,
+    become NaN instead of aborting the sweep.
     """
     alphas = tuple(float(a) for a in alphas)
     learning_rates = tuple(float(lr) for lr in learning_rates)
     if not alphas or not learning_rates:
         raise ValueError("alphas and learning_rates must be non-empty")
     specs = [TransformSpec("hyper", alpha=alpha, beta=2.0) for alpha in alphas]
+    FitConfig(spec=specs[0], learning_rate=0.0, epochs=epochs)  # checks epochs; lr 0 always passes
     grid = np.full((len(alphas), len(learning_rates)), np.nan)
     errors: dict[tuple[int, int], str] = {}
     for i, spec in enumerate(specs):

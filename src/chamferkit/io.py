@@ -35,6 +35,12 @@ _PLY_HEADER = (
     "property float z\n"
     "end_header\n"
 )
+# PLY's scalar types, by their original and their sized names; ASCII
+# values of any of them are read as float64
+_PLY_TYPES = frozenset(
+    "char uchar short ushort int uint float double "
+    "int8 uint8 int16 uint16 int32 uint32 float32 float64".split()
+)
 _ROW_FORMAT = "%.17g %.17g %.17g\n"
 _WRITE_CHUNK_ROWS = 4096  # rows formatted per write
 
@@ -65,10 +71,13 @@ def _resolve_format(path, format: str | None) -> str:
 def read_cloud(path, format: str | None = None) -> PointCloud:
     """Read a cloud from path. Format inferred from the suffix unless given.
 
-    An ASCII PLY file must give its vertex element scalar float or double
-    properties named x, y and z; extra scalar properties and other
-    elements are skipped. Binary PLY and list properties on the vertex
-    element are rejected. Lines break where XYZ lines do, at newlines only.
+    An ASCII PLY file must give its vertex element scalar properties
+    named x, y and z; extra scalar properties and other elements are
+    skipped. Every property type must be one of PLY's scalar types (char,
+    uchar, short, ushort, int, uint, float, double, or int8 ... float64),
+    and values of any of them are read as float64. Binary PLY and list
+    properties on the vertex element are rejected. Lines break where XYZ
+    lines do, at newlines only.
     """
     fmt = _resolve_format(path, format)
     with open(path, "r", encoding="ascii") as fh:
@@ -211,12 +220,16 @@ def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
         elif fields[0] == "property":
             if not elements:
                 raise ParseError(path, lineno, "property before any element")
-            if len(fields) >= 2 and fields[1] == "list":
-                elements[-1].has_list = True
-            elif len(fields) == 3:
-                elements[-1].props.append(fields[2])
-            else:
+            is_list = fields[1:2] == ["list"]
+            types = fields[1 + is_list : -1]
+            if len(types) != 1 + is_list:
                 raise ParseError(path, lineno, "malformed property declaration")
+            if unknown := [t for t in types if t not in _PLY_TYPES]:
+                raise ParseError(path, lineno, f"unknown property type {unknown[0]!r}")
+            if is_list:
+                elements[-1].has_list = True
+            else:
+                elements[-1].props.append(fields[2])
         elif fields[0] == "end_header":
             break
         else:

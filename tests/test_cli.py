@@ -276,6 +276,27 @@ class TestCurves:
         assert err.startswith("error: alpha must be positive and at most 1e+150, got ")
         assert not out.exists()
 
+    def test_grid_step_below_least_distance_is_data_error(self, tmp_path, capsys):
+        # the grid held subnormal distances, where these slopes were inf
+        out = tmp_path / "c.csv"
+        args = ["curves", "--kinds", "exp,hyper", "--betas", "0.03125", "--out", str(out)]
+        assert main(args + ["--dmax", "1e-321", "--steps", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --dmax / (--steps - 1) must be at least 2.22276e-162, got 2.47033e-322\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+        least = math.sqrt(5e-324)
+        assert main(args + ["--dmax", repr(float(np.nextafter(2 * least, 0.0))), "--steps", "3"]) == 2
+        assert not out.exists()
+        # at a step of exactly the least distance every slope but the d = 0 tangents is finite
+        assert main(args + ["--dmax", repr(2 * least), "--steps", "3"]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["d"]) for r in rows] == [0.0, least, 2 * least] * 2
+        assert all(math.isfinite(float(r["grad"])) for r in rows if float(r["d"]) > 0)
+
     def test_largest_alpha_is_finite(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         with warnings.catch_warnings():
@@ -327,7 +348,7 @@ class TestFit:
         assert main(
             ["fit", fi, ft, "--lr", "0", "--epochs", "1", "--outdir", str(outdir)]
         ) == 0
-        assert (outdir / "final.xyz").read_bytes() == open(fi, "rb").read()
+        assert (outdir / "final.xyz").read_bytes() == Path(fi).read_bytes()
 
     def test_snapshot_files(self, tmp_path, capsys):
         fi, ft = self.make_pair(tmp_path)
@@ -431,6 +452,24 @@ class TestSweep:
             ) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: alpha must be positive and at most 1e+150, got 1e+308\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "-3"])
+    def test_epochs_below_one_runs_no_cell(self, tmp_path, capsys, epochs):
+        # the message was repeated once per cell, over a grid of empty cells
+        rng = np.random.default_rng(77)
+        write_cloud(uniform_cloud(rng, 10), tmp_path / "init.xyz")
+        write_cloud(uniform_cloud(rng, 10), tmp_path / "target.xyz")
+        out = tmp_path / "s.csv"
+        assert main(
+            [
+                "sweep", str(tmp_path / "init.xyz"), str(tmp_path / "target.xyz"),
+                "--alphas", "1,2", "--lrs=0.01,-0.5", f"--epochs={epochs}", "--out", str(out),
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: epochs must be at least 1, got {epochs}\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -236,6 +236,101 @@ class TestPoincareDistance:
         with pytest.raises(ValueError, match="unit ball"):
             poincare_distance([0, 0, 0], [0.8, 0.8, 0])
 
+    def test_equals_chamfer_pair_terms_bit_for_bit(self):
+        # a shell at norms 0.99-0.999, where 1 - |p|^2 amplifies any
+        # difference in how the pair term is formed
+        rng = np.random.default_rng(34)
+        clouds = []
+        for n in (300, 200):
+            pts = ball_cloud(rng, n).points.copy()
+            shell = pts[: n // 3]
+            shell *= (rng.uniform(0.99, 0.999, len(shell)) / np.linalg.norm(shell, axis=1))[:, None]
+            clouds.append(PointCloud(pts))
+        a, b = clouds
+        rep = chamfer_poincare(a, b)
+        m = rep.match
+        fwd = [poincare_distance(a.points[i], b.points[j]) for i, j in enumerate(m.fwd_idx)]
+        bwd = [poincare_distance(a.points[i], b.points[j]) for j, i in enumerate(m.bwd_idx)]
+        assert float(np.mean(fwd)) == rep.d1
+        assert float(np.mean(bwd)) == rep.d2
+
+    @pytest.mark.parametrize(
+        "point,inside",
+        [
+            # |p|^2 summed as p @ p and as (x*x + y*y) + z*z round apart here
+            ([-0.1735546202432566, 0.9388976414256076, 0.2972373003471302], False),
+            ([0.3921070758562997, 0.307654486358466, -0.866949109283198], True),
+        ],
+    )
+    def test_boundary_point_judged_as_chamfer_poincare_judges_it(self, point, inside):
+        origin = PointCloud([[0.0, 0.0, 0.0]])
+        for distance in (
+            lambda: poincare_distance(point, [0.0, 0.0, 0.0]),
+            lambda: poincare_distance([0.0, 0.0, 0.0], point),
+            lambda: chamfer_poincare(PointCloud([point]), origin).d1,
+            lambda: chamfer_poincare(origin, PointCloud([point])).d1,
+        ):
+            if inside:
+                assert distance() == poincare_distance(point, [0.0, 0.0, 0.0])
+            else:
+                with pytest.raises(ValueError, match="unit ball"):
+                    distance()
+
+
+def near_unit_points(draw_dirs, ulps):
+    """Rows of draw_dirs scaled to norm 1 + k * 2**-53, k from ulps, row by row."""
+    v = np.array(draw_dirs, dtype=np.float64)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v * (1.0 + np.array(ulps, dtype=np.float64) * 2.0**-53)[:, None]
+
+
+_directions = st.lists(
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda t: sum(x * x for x in t) > 0.01),
+    min_size=1,
+    max_size=12,
+)
+_max_norms = st.one_of(
+    st.integers(1, 64).map(lambda k: 1.0 - k * 2.0**-53),
+    st.floats(0.5, 1.0, exclude_max=True),
+)
+
+
+class TestUnitBallProperty:
+    """The one unit-ball test, on norms within a few ulp of 1."""
+
+    @seed(20261021)
+    @settings(max_examples=150, deadline=2000, database=None)
+    @given(_directions, st.data())
+    def test_entry_points_accept_alike_and_agree(self, dirs, data):
+        ulps = data.draw(st.lists(st.integers(-8, 8), min_size=len(dirs), max_size=len(dirs)))
+        pts = near_unit_points(dirs, ulps)
+        q = np.array([0.25, -0.5, 0.125])
+        for p in pts:
+            try:
+                single = poincare_distance(p, q)
+            except ValueError:
+                single = None
+            try:
+                pair = chamfer_poincare(PointCloud([p]), PointCloud([q])).d1
+            except ValueError:
+                pair = None
+            assert single == pair
+
+    @seed(20261022)
+    @settings(max_examples=150, deadline=2000, database=None)
+    @given(_directions, st.data(), _max_norms)
+    def test_clip_to_ball_output_passes_the_ball_test(self, dirs, data, max_norm):
+        ulps = data.draw(st.lists(st.integers(-8, 8), min_size=len(dirs), max_size=len(dirs)))
+        scale = data.draw(st.sampled_from([1.0, 0.5, 3.0, 1e100]))
+        cloud = PointCloud(near_unit_points(dirs, ulps) * scale)
+        out = clip_to_ball(cloud, max_norm)
+        rep = chamfer_poincare(out, out)
+        assert rep.value == 0.0
+        norms = np.linalg.norm(out.points, axis=1)
+        assert (norms <= max_norm * (1.0 + 2.0**-50)).all()
+        over = np.linalg.norm(cloud.points, axis=1) > max_norm
+        np.testing.assert_array_equal(out.points[~over], cloud.points[~over])
+
 
 class TestClipToBall:
     def test_radial_scaling(self):
@@ -259,6 +354,14 @@ class TestClipToBall:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 clip_to_ball(c, bad)
+
+    def test_largest_max_norm_output_is_accepted(self):
+        # scaled onto radius 1 - 2**-53, 367 of these rows rounded to |p|^2 >= 1
+        rng = np.random.default_rng(35)
+        c = PointCloud(rng.standard_normal((2000, 3)) * 3.0)
+        out = clip_to_ball(c, 0.9999999999999999)
+        assert chamfer_poincare(out, out).value == 0.0
+        assert (np.linalg.norm(out.points, axis=1) <= 1.0).all()
 
 
 class TestChamfer:

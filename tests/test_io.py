@@ -278,6 +278,35 @@ class TestPly:
         assert str(exc_info.value) == f"{p}:{line}: {message}"
         assert exc_info.value.line == line
 
+    @pytest.mark.parametrize(
+        "decl,line,message",
+        [
+            # "foo z" read as a valid cloud
+            ("property float x\nproperty float y\nproperty foo z\n", 6, "unknown property type 'foo'"),
+            ("property float32 x\nproperty double y\nproperty real z\n", 6, "unknown property type 'real'"),
+            ("property list uchar string ids\n", 4, "unknown property type 'string'"),
+            # a list names two types, its count's and its items'
+            ("property list uchar ids\n", 4, "malformed property declaration"),
+        ],
+    )
+    def test_unknown_property_type_names_its_line(self, tmp_path, decl, line, message):
+        p = tmp_path / "types.ply"
+        p.write_text(f"ply\nformat ascii 1.0\nelement vertex 1\n{decl}end_header\n1 2 3\n")
+        with pytest.raises(ParseError) as exc_info:
+            read_cloud(p)
+        assert str(exc_info.value) == f"{p}:{line}: {message}"
+
+    def test_every_scalar_type_is_read(self, tmp_path):
+        types = "char uchar short ushort int uint float double int8 uint8 int16 uint16 int32 uint32"
+        header = "".join(f"property {t} {t}_col\n" for t in types.split())
+        p = tmp_path / "types.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nelement edge 1\nproperty list uint8 int32 ids\n"
+            f"element vertex 1\n{header}property float32 x\nproperty float64 y\nproperty int z\n"
+            f"end_header\n2 0 1\n{'0 ' * 14}0.5 -2.25 7\n"
+        )
+        assert read_cloud(p) == PointCloud([[0.5, -2.25, 7.0]])
+
 
 class TestFormatSelection:
     def test_inferred_from_suffix(self, tmp_path):
