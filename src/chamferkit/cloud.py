@@ -9,10 +9,10 @@ import numpy as np
 
 SHAPE_KINDS = ("sphere-surface", "box-surface", "plane-grid", "l-bracket")
 
-# Largest supported |coordinate|. Two points within it are at most
-# sqrt(12) * MAX_ABS_COORD apart, so squared distances stay below 1.2e301,
-# far from float64 overflow (1.8e308); beyond about 3.9e153 they overflow
-# to inf and the kd-tree reports no neighbor at all.
+# Largest |coordinate| of a PointCloud or as_point. Two points within it
+# are at most sqrt(12) * MAX_ABS_COORD apart, so squared distances stay
+# below 1.2e301, far from float64 overflow (1.8e308); beyond about 3.9e153
+# they overflow to inf and the kd-tree reports no neighbor at all.
 MAX_ABS_COORD = 1e150
 
 
@@ -38,17 +38,23 @@ def check_coord_range(name: str, points: np.ndarray) -> None:
 
 
 def as_point(p) -> np.ndarray:
-    """Validate a single 3D point, returned as a float64 array of shape (3,)."""
+    """Validate a single 3D point, returned as a float64 array of shape (3,).
+
+    Its coordinates must be finite and at most MAX_ABS_COORD in magnitude."""
     arr = np.asarray(p, dtype=np.float64).reshape(-1)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3D point, got shape {np.shape(p)}")
     if not np.isfinite(arr).all():
         raise ValueError(f"point has non-finite coordinates: {arr.tolist()}")
+    check_coord_range("point", arr)
     return arr
 
 
 class PointCloud:
-    """Ordered collection of finite 3D points, immutable after construction.
+    """Ordered collection of 3D points, immutable after construction.
+
+    Every coordinate is finite and at most MAX_ABS_COORD in magnitude, so
+    every squared distance is finite; construction rejects anything else.
 
     Point order carries no geometric meaning; it only anchors the indices
     reported by the matchers. Coordinates are dimensionless and nothing in
@@ -65,6 +71,7 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         if not np.isfinite(pts).all():
             raise ValueError("point cloud contains non-finite coordinates")
+        check_coord_range("point cloud", pts)
         pts.setflags(write=False)
         self.points = pts
 
@@ -172,13 +179,9 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     """Remove the k points nearest to viewpoint, keeping the rest in order.
 
     Models a self-occluded partial scan. Equidistant points are removed
-    lowest index first. k must leave at least one point behind, and the
-    coordinates of the viewpoint and of the cloud must lie within
-    MAX_ABS_COORD in magnitude, so that every squared distance is finite.
+    lowest index first. k must leave at least one point behind.
     """
     vp = as_point(viewpoint)
-    check_coord_range("viewpoint", vp)
-    check_coord_range("cloud", cloud.points)
     n = len(cloud)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")

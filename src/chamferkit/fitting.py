@@ -75,7 +75,7 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
     Matches and scores each of the states 0..epochs afresh; every state
     but the last then takes the update movable -= lr * grad. Raises
     DivergenceError the moment the loss leaves the finite range or any
-    coordinate leaves the matchers' range |x| <= MAX_ABS_COORD.
+    coordinate leaves PointCloud's range |x| <= MAX_ABS_COORD.
     Deterministic: same inputs, same trajectory.
     """
     wanted = set(config.snapshot_epochs)

@@ -1,7 +1,8 @@
 """Clouds as whitespace XYZ or ASCII PLY files, and tables as CSV files.
 
-Writers emit coordinates with repr-exact precision (%.17g), so a
-write/read round trip reproduces every float64 bit for bit.
+Writers emit coordinates with repr-exact precision (%.17g), declared
+double in PLY headers, so a write/read round trip reproduces every
+float64 bit for bit.
 
 Both cloud formats share one row reader. It streams the rows through
 numpy's C text reader; rows that reader refuses, or that come out the
@@ -30,9 +31,9 @@ _PLY_HEADER = (
     "ply\n"
     "format ascii 1.0\n"
     "element vertex {}\n"
-    "property float x\n"
-    "property float y\n"
-    "property float z\n"
+    "property double x\n"
+    "property double y\n"
+    "property double z\n"
     "end_header\n"
 )
 # PLY's scalar types, by their original and their sized names; ASCII
@@ -76,8 +77,9 @@ def read_cloud(path, format: str | None = None) -> PointCloud:
     skipped. Every property type must be one of PLY's scalar types (char,
     uchar, short, ushort, int, uint, float, double, or int8 ... float64),
     and values of any of them are read as float64. Binary PLY and list
-    properties on the vertex element are rejected. Lines break where XYZ
-    lines do, at newlines only.
+    properties on the vertex element are rejected; comment and obj_info
+    header lines are skipped. Lines break where XYZ lines do, at newlines
+    only. A coordinate beyond MAX_ABS_COORD in magnitude is a ParseError.
     """
     fmt = _resolve_format(path, format)
     with open(path, "r", encoding="ascii") as fh:
@@ -90,7 +92,10 @@ def read_cloud(path, format: str | None = None) -> PointCloud:
             pass
     if not len(pts):
         raise ParseError(path, 0, "file contains no points")
-    return PointCloud(pts)
+    try:
+        return PointCloud(pts)
+    except ValueError as exc:  # a coordinate beyond MAX_ABS_COORD
+        raise ParseError(path, 0, str(exc)) from None
 
 
 def write_cloud(cloud: PointCloud, path, format: str | None = None) -> None:
@@ -201,7 +206,7 @@ def _read_ply_header(path, fh) -> tuple[int, int, list[int], int]:
     while raw := fh.readline():
         lineno += 1
         fields = raw.split()
-        if not fields or fields[0] == "comment":
+        if not fields or fields[0] in ("comment", "obj_info"):  # free text
             continue
         if fields[0] == "format":
             if len(fields) < 2 or fields[1] != "ascii":

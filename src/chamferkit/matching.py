@@ -18,10 +18,6 @@ minimum taken over all candidates at once. Rows whose k-th candidate
 still lies inside the tie radius, where more candidates may tie beyond
 it, go through the same pass again with a larger k, sized from a count
 of the targets inside that radius.
-
-Both routes accept coordinates up to MAX_ABS_COORD in magnitude, so
-that every squared distance between two points is finite; clouds
-outside that range are rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, check_coord_range, pair_sq
+from .cloud import PointCloud, pair_sq
 
 _CHUNK_BYTES = 1 << 21  # scratch budget per brute-force row chunk, about L2 size
 
@@ -67,12 +63,7 @@ class MatchResult:
 
 
 def match_brute(a: PointCloud, b: PointCloud) -> MatchResult:
-    """Exhaustive matching; the reference the accelerated route is held to.
-
-    Raises ValueError if a coordinate exceeds MAX_ABS_COORD in magnitude.
-    """
-    check_coord_range("first cloud", a.points)
-    check_coord_range("second cloud", b.points)
+    """Exhaustive matching; the reference the accelerated route is held to."""
     return MatchResult(*_argmin_both(a.points, b.points))
 
 
@@ -130,11 +121,8 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     in bulk from their _TIE_K nearest candidates, and again from more
     candidates for rows where even the last one fetched is tied. All
     squared distances are recomputed from the chosen indices with the
-    canonical arithmetic. Raises ValueError if a coordinate exceeds
-    MAX_ABS_COORD in magnitude, as match_brute does.
+    canonical arithmetic.
     """
-    check_coord_range("first cloud", a.points)
-    check_coord_range("second cloud", b.points)
     # imported on the first kd build: scipy takes longer to import than
     # the rest of the package, and only this route needs it
     from scipy.spatial import cKDTree

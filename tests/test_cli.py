@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chamferkit import (
     FitConfig,
@@ -114,10 +117,13 @@ class TestDistance:
     def test_coordinates_beyond_range_are_data_error(self, tmp_path, capsys):
         fa = tmp_path / "huge.xyz"
         fb = tmp_path / "small.xyz"
-        write_xyz(fa, [[1e200, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        fa.write_text("1e200 0 0\n0 0 0\n")
         write_xyz(fb, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         assert main(["distance", str(fa), str(fb)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == (
+            f"error: {fa}: point cloud has a coordinate of magnitude 1e+200, "
+            "beyond the supported 1e+150\n"
+        )
 
     def test_hyper_at_the_range_limit_is_finite(self, tmp_path, capsys):
         fa = tmp_path / "far.xyz"
@@ -676,6 +682,136 @@ class TestTopLevel:
             target = tomllib.load(fh)["project"]["scripts"]["chamferkit"]
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+class TestOutOfRangeFile:
+    """A file with a coordinate beyond 1e150 stops every command at the read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "huge.xyz", "ok.xyz"],
+            ["distance", "ok.xyz", "huge.xyz", "--kind", "poincare"],
+            ["eval", "huge.xyz", "ok.xyz"],
+            ["eval", "ok.xyz", "huge.xyz"],
+            ["fit", "huge.xyz", "ok.xyz", "--lr", "0.01", "--epochs", "2", "--outdir", "run"],
+            ["sweep", "ok.xyz", "huge.xyz", "--alphas", "1,2", "--lrs", "0.01",
+             "--epochs", "2", "--out", "s.csv"],
+        ],
+    )
+    def test_data_error_names_the_file_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        # at 1e200, eval and distance --kind poincare raised an overflow
+        # warning out of main(), and sweep exited 0 with every cell failed
+        monkeypatch.chdir(tmp_path)
+        Path("huge.xyz").write_text("0 0 0\n1e200 0 0\n")
+        Path("ok.xyz").write_text("0 0 0\n0.5 0.25 -0.125\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: huge.xyz: point cloud has a coordinate of magnitude 1e+200, "
+            "beyond the supported 1e+150\n"
+        )
+        assert captured.out == ""
+        assert sorted(os.listdir()) == ["huge.xyz", "ok.xyz"]
+
+
+# The files the exit-code property draws from: a 1e200 row, clouds a few
+# ulp inside and on the unit-ball boundary, an empty and a ragged file,
+# and one that does not exist.
+_FUZZ_FILES = {
+    "ok.xyz": "0 0 0\n0.5 0.25 -0.125\n0.1 0.2 0.3\n",
+    "ok.ply": (
+        "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+        "property double y\nproperty double z\nend_header\n0.25 0 0\n0 0.5 0.5\n"
+    ),
+    "huge.xyz": "0 0 0\n1e200 0 0\n",
+    "inside.xyz": "0.9999999999999999 0 0\n0 0.7071067811865475 -0.7071067811865475\n",
+    "boundary.xyz": "0 0 0\n0 -1 0\n0.5773502691896258 0.5773502691896258 0.5773502691896258\n",
+    "empty.xyz": "",
+    "ragged.xyz": "0 0 0\n1 2\n",
+}
+_FUZZ_PATHS = [*_FUZZ_FILES, "missing.xyz"]
+_FUZZ_OUTS = ["out.csv", "out.xyz", "out.ply", "run", "no_dir/out.csv"]
+_FUZZ_NUMBERS = ["0", "-1", "1", "2.5", "1e-320", "1e150", "1e200", "nan", "inf", "x"]
+_FUZZ_FORMAT = ["xyz", "ply-ascii", "obj"]
+_FUZZ_EPOCHS = ["-1", "0", "1", "3", "x"]  # fits stay at 3 epochs or fewer
+_FUZZ_GRIDS = ["1", "0.5,2", "0", "-1", "1e150", "1e200", "nan", "x", ""]
+
+# subcommand: (positional file count, {flag: values, None for a switch})
+_FUZZ_COMMANDS = {
+    "distance": (2, {
+        "--kind": [*chamferkit.BENCH_KINDS, "l3"], "--alpha": _FUZZ_NUMBERS,
+        "--beta": _FUZZ_NUMBERS, "--scale-display": _FUZZ_NUMBERS, "--format": _FUZZ_FORMAT,
+    }),
+    "curves": (0, {
+        "--kinds": ["hyper", "exp,l2", "l1,foo"], "--alphas": _FUZZ_GRIDS,
+        "--betas": _FUZZ_GRIDS, "--dmax": _FUZZ_NUMBERS, "--steps": ["1", "2", "5", "x"],
+        "--no-normalize": None, "--out": _FUZZ_OUTS,
+    }),
+    "fit": (2, {
+        "--kind": [*chamferkit.TRANSFORM_KINDS, "poincare"], "--alpha": _FUZZ_NUMBERS,
+        "--beta": _FUZZ_NUMBERS, "--lr": _FUZZ_NUMBERS, "--epochs": _FUZZ_EPOCHS,
+        "--snapshots": ["0", "0,1", "5", "x"], "--outdir": _FUZZ_OUTS, "--format": _FUZZ_FORMAT,
+    }),
+    "sweep": (2, {
+        "--alphas": _FUZZ_GRIDS, "--lrs": _FUZZ_GRIDS, "--epochs": _FUZZ_EPOCHS,
+        "--out": _FUZZ_OUTS, "--format": _FUZZ_FORMAT,
+    }),
+    "eval": (2, {
+        "--threshold-mode": ["absolute", "percent", "relative"], "--threshold": _FUZZ_NUMBERS,
+        "--scale-display": _FUZZ_NUMBERS, "--format": _FUZZ_FORMAT,
+    }),
+    "gen": (0, {
+        "--kind": [*chamferkit.SHAPE_KINDS, "torus"], "--n": ["-1", "0", "1", "7"],
+        "--seed": ["0", "-5", "x"], "--crop-k": ["0", "1", "3", "9"],
+        "--viewpoint": ["0,0,0", "1e200,0,0", "nan,0,0", "1,2"], "--out": _FUZZ_OUTS,
+    }),
+    "bench": (0, {  # 8 points at most
+        "--sizes": ["1", "8", "2,8", "0", "x"], "--kinds": ["l2", "hyper,poincare", "exp,l3"],
+        "--repeats": ["2", "3"], "--warmup": ["0", "1"], "--seed": ["0", "7"],
+        "--out": _FUZZ_OUTS,
+    }),
+    "transmogrify": (0, {"--out": _FUZZ_OUTS}),
+}
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """A subcommand, its file arguments (now and then one short) and a
+    random subset of its flags, each with a drawn value."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    n_files, flags = _FUZZ_COMMANDS[command]
+    n_files -= draw(st.sampled_from([0, 0, 0, 0, 1])) if n_files else 0
+    argv = [command, *(draw(st.sampled_from(_FUZZ_PATHS)) for _ in range(n_files))]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        values = flags[flag]
+        argv += [flag] if values is None else [f"{flag}={draw(st.sampled_from(values))}"]
+    return argv
+
+
+class TestExitCodeProperty:
+    """Every command line ends in exit code 0, 1, 2 or 3, with nothing
+    raised and no warning, whatever its flags and files."""
+
+    @seed(20261023)
+    @settings(max_examples=300, deadline=5000, database=None)
+    @given(cli_argvs())
+    def test_exit_code_contract(self, argv):
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                for name, text in _FUZZ_FILES.items():
+                    Path(name).write_text(text)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert main(argv) in (0, 1, 2, 3)
+            finally:
+                os.chdir(home)
 
 
 # Runs the CLI as the console script does, then reports on stderr

@@ -48,6 +48,13 @@ class TestPointCloud:
         with pytest.raises(ValueError, match="non-finite"):
             PointCloud([[np.inf, 0, 0]])
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coordinate_range_is_an_invariant(self, sign):
+        c = PointCloud([[0, 0, 0], [sign * MAX_ABS_COORD, 0, -MAX_ABS_COORD]])
+        assert abs(c.points).max() == 1e150
+        with pytest.raises(ValueError, match="beyond the supported 1e\\+150"):
+            PointCloud([[0, 0, 0], [0, sign * 1e151, 0]])
+
     def test_equality(self):
         a = PointCloud([[1, 2, 3]])
         assert a == PointCloud([[1, 2, 3]])
@@ -65,6 +72,14 @@ class TestAsPoint:
             as_point([1, 2])
         with pytest.raises(ValueError):
             as_point([1, 2, np.nan])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_coordinate_range(self, sign):
+        np.testing.assert_array_equal(as_point([0, sign * 1e150, 0]), [0, sign * 1e150, 0])
+        with pytest.raises(ValueError, match="non-finite"):
+            as_point([0, sign * np.inf, 0])
+        with pytest.raises(ValueError, match="point has a coordinate of magnitude 1e\\+151, beyond the supported 1e\\+150"):
+            as_point([0, 0, sign * 1e151])
 
 
 class TestBoundingBox:
@@ -189,10 +204,13 @@ class TestPartialViewCrop:
                 partial_view_crop(c, vp, 1)
 
     def test_cloud_within_coordinate_range(self):
-        # squaring 1e200 would overflow and rank both far points as inf
-        c = PointCloud([[1e200, 0, 0], [0, 0, 0], [2e200, 0, 0]])
+        # squaring 1e200 would overflow and rank both far points as inf, so
+        # such a cloud cannot be built; at the limit every rank is finite
         with pytest.raises(ValueError, match="cloud has a coordinate of magnitude 2e\\+200"):
-            partial_view_crop(c, [0, 0, 0], 1)
+            PointCloud([[1e200, 0, 0], [0, 0, 0], [2e200, 0, 0]])
+        c = PointCloud([[MAX_ABS_COORD, 0, 0], [0, 0, 0], [-MAX_ABS_COORD, 0, 0]])
+        out = partial_view_crop(c, [MAX_ABS_COORD, 0, 0], 2)
+        np.testing.assert_array_equal(out.points, [[-MAX_ABS_COORD, 0, 0]])
 
     def test_bad_k(self):
         c = PointCloud([[0, 0, 0], [1, 1, 1]])

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chamferkit import (
     PointCloud,
@@ -255,6 +257,28 @@ class TestChamferGradient:
                 fd = finite_diff_gradient(a, b, spec)
                 assert max_rel_coord_err(analytic.vectors, fd.vectors) < 1e-4
                 assert analytic.loss_value == pytest.approx(fd.loss_value, rel=1e-12)
+
+    # l1 and l2, and exp and hyper with alpha and beta drawn from ranges
+    # around the defaults, so that beta is almost never 2
+    @seed(20261024)
+    @settings(max_examples=90, deadline=5000, database=None)
+    @given(
+        st.one_of(
+            st.sampled_from([TransformSpec("l1"), TransformSpec("l2")]),
+            st.builds(
+                TransformSpec,
+                st.sampled_from(["exp", "hyper"]),
+                st.floats(0.3, 5.0),
+                st.floats(0.7, 4.0),
+            ),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_finite_differences_property(self, spec, pair_seed):
+        a, b = smooth_pair(np.random.default_rng(pair_seed), 8, 24)
+        assert is_smooth_config(a, b)
+        analytic = chamfer_gradient(a, b, spec).vectors
+        assert max_rel_coord_err(analytic, finite_diff_gradient(a, b, spec).vectors) < 1e-4
 
     def test_step_halving_improves_agreement(self):
         rng = np.random.default_rng(47)

@@ -25,7 +25,7 @@ def tricky_cloud():
     return PointCloud(
         [
             [0.1, 0.2, 0.3],
-            [1e-300, -1e300, 5e-324],
+            [1e-300, -1e150, 5e-324],
             [1 / 3, np.pi, np.e],
             [-0.0, 123456789.123456789, -2.2250738585072014e-308],
         ]
@@ -80,6 +80,20 @@ class TestXyz:
         with pytest.raises(ParseError, match="non-finite"):
             read_cloud(p)
 
+    @pytest.mark.parametrize("suffix", [".xyz", ".ply"])
+    def test_coordinate_beyond_range_names_the_file(self, tmp_path, suffix):
+        # the parsers accept any finite value; the cloud's range check
+        # rejects it, and the error still names the file
+        p = tmp_path / f"far{suffix}"
+        body = "0 0 0\n0 -2e151 0\n"
+        p.write_text(PLY_XYZ_HEADER.format(2) + body if suffix == ".ply" else body)
+        with pytest.raises(ParseError) as exc_info:
+            read_cloud(p)
+        assert str(exc_info.value) == (
+            f"{p}: point cloud has a coordinate of magnitude 2e+151, beyond the supported 1e+150"
+        )
+        assert (exc_info.value.path, exc_info.value.line) == (str(p), 0)
+
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.xyz"
         p.write_text("")
@@ -119,6 +133,17 @@ class TestPly:
             "0.9 1 2 3\n0.1 4 5 6\n"
         )
         np.testing.assert_array_equal(read_cloud(p).points, [[1, 2, 3], [4, 5, 6]])
+
+    def test_obj_info_lines_skipped(self, tmp_path):
+        # obj_info lines are free text, as comment lines are
+        p = tmp_path / "info.ply"
+        p.write_text(
+            "ply\nformat ascii 1.0\nobj_info scanner 7; units mm\n"
+            "element vertex 1\nobj_info\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "end_header\n1 2 3\n"
+        )
+        np.testing.assert_array_equal(read_cloud(p).points, [[1, 2, 3]])
 
     def test_repeated_vertex_name_reads_the_first_block(self, tmp_path):
         # the second block's list property is not the first block's; it
@@ -470,24 +495,24 @@ class TestWriteBytes:
     @pytest.mark.parametrize("suffix", [".xyz", ".ply"])
     def test_bytes_equal_per_row_reference(self, tmp_path, n, suffix):
         rng = np.random.default_rng(n)
-        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 3))
+        pts = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 150, (n, 3))
         specials = [-0.0, 5e-324, 1e150, -1e150]
         flat = pts.reshape(-1)
         flat[-min(4, flat.size) :] = specials[: flat.size]
         path = tmp_path / f"w{suffix}"
         write_cloud(PointCloud(pts), path)
-        expected = PLY_XYZ_HEADER.format(n) if suffix == ".ply" else ""
+        expected = PLY_XYZ_HEADER.replace("float", "double").format(n) if suffix == ".ply" else ""
         expected += "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in pts)
         assert path.read_bytes() == expected.encode("ascii")
         assert read_cloud(path).points.tobytes() == pts.tobytes()
 
 
 # every float class the writer must carry: signed zeros, subnormals, the
-# normal range's ends, the coordinate range's ends and anything finite
+# normal range's ends, the coordinate range's ends and anything between
 _EXACT_FLOATS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]),
     st.floats(-1e-307, 1e-307, allow_subnormal=True),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e150, 1e150),
 )
 
 

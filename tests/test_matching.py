@@ -379,11 +379,7 @@ class TestCoordinateRange:
 
     @pytest.mark.parametrize("big", [1e200, -1e155, 2 * MAX_ABS_COORD])
     def test_beyond_limit_rejected_by_both(self, big):
-        a = PointCloud([[big, 0, 0], [0, 0, 0]])
-        b = PointCloud([[0, 0, 0], [1, 1, 1]])
-        for matcher in (match_indexed, match_brute):
-            with pytest.raises(ValueError, match="supported"):
-                matcher(a, b)
-            with pytest.raises(ValueError, match="supported"):
-                matcher(b, a)
+        # neither matcher can be handed such a cloud: it cannot be built
+        with pytest.raises(ValueError, match="supported"):
+            PointCloud([[big, 0, 0], [0, 0, 0]])
 
