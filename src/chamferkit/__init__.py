@@ -1,29 +1,21 @@
-"""Chamfer-style point-cloud set distances, gradients, and fitting tools."""
+"""Chamfer-style point-cloud set distances, gradients, and fitting tools.
 
-from .bench import (
-    BENCH_KINDS,
-    BenchEntry,
-    BenchReport,
-    format_bench_table,
-    run_bench,
-    write_bench_csv,
-)
+The package root holds the documented API; everything else is reached
+through its module, e.g. chamferkit.fitting.sweep_alpha_lr.
+"""
+
+from .bench import run_bench
 from .cloud import (
     MAX_ABS_COORD,
-    SHAPE_KINDS,
-    BoundingBox,
     PointCloud,
     as_point,
     bounding_box,
     displace_outliers,
     gen_shape,
     jitter_cloud,
-    normalize_to_unit_box,
     pair_sq,
-    partial_view_crop,
 )
 from .distances import (
-    TRANSFORM_KINDS,
     SetDistanceReport,
     TransformSpec,
     acosh1p,
@@ -35,94 +27,10 @@ from .distances import (
     transform_derivative,
     weight_z,
 )
-from .evaluation import THRESHOLD_MODES, EvalReport, evaluate, fscore, hausdorff
-from .fitting import (
-    DivergenceError,
-    FitConfig,
-    FitTrajectory,
-    SweepResult,
-    export_correspondences,
-    fit,
-    sweep_alpha_lr,
-    write_loss_csv,
-    write_sweep_csv,
-)
-from .gradients import (
-    SMOOTH_DISTANCE_EPS,
-    SMOOTH_TIE_EPS,
-    CurveRow,
-    GradientField,
-    chamfer_gradient,
-    default_curve_specs,
-    finite_diff_gradient,
-    is_smooth_config,
-    sample_curves,
-    write_curves_csv,
-)
-from .io import FORMATS, ParseError, read_cloud, write_cloud
+from .evaluation import EvalReport, evaluate, fscore, hausdorff
+from .fitting import DivergenceError, FitConfig, fit
+from .gradients import chamfer_gradient, finite_diff_gradient
+from .io import ParseError, read_cloud, write_cloud
 from .matching import MatchResult, match_brute, match_indexed
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BENCH_KINDS",
-    "BenchEntry",
-    "BenchReport",
-    "BoundingBox",
-    "CurveRow",
-    "DivergenceError",
-    "EvalReport",
-    "FORMATS",
-    "FitConfig",
-    "FitTrajectory",
-    "GradientField",
-    "MAX_ABS_COORD",
-    "MatchResult",
-    "ParseError",
-    "PointCloud",
-    "SHAPE_KINDS",
-    "SMOOTH_DISTANCE_EPS",
-    "SMOOTH_TIE_EPS",
-    "SetDistanceReport",
-    "SweepResult",
-    "THRESHOLD_MODES",
-    "TRANSFORM_KINDS",
-    "TransformSpec",
-    "acosh1p",
-    "as_point",
-    "bounding_box",
-    "chamfer",
-    "chamfer_gradient",
-    "chamfer_poincare",
-    "clip_to_ball",
-    "default_curve_specs",
-    "displace_outliers",
-    "evaluate",
-    "export_correspondences",
-    "finite_diff_gradient",
-    "fit",
-    "format_bench_table",
-    "fscore",
-    "gen_shape",
-    "hausdorff",
-    "is_smooth_config",
-    "jitter_cloud",
-    "match_brute",
-    "match_indexed",
-    "normalize_to_unit_box",
-    "pair_sq",
-    "partial_view_crop",
-    "poincare_distance",
-    "read_cloud",
-    "run_bench",
-    "sample_curves",
-    "sweep_alpha_lr",
-    "transform",
-    "transform_derivative",
-    "weight_z",
-    "write_bench_csv",
-    "write_cloud",
-    "write_curves_csv",
-    "write_loss_csv",
-    "write_sweep_csv",
-]

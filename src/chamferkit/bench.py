@@ -9,13 +9,12 @@ rather than biasing whichever ran last.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import PointCloud
 from .distances import TRANSFORM_KINDS, TransformSpec, chamfer, chamfer_poincare
-from .io import write_csv
 from .matching import match_indexed
 
 BENCH_KINDS = TRANSFORM_KINDS + ("poincare",)
@@ -116,18 +115,3 @@ def run_bench(
             )
         )
     return BenchReport(entries=entries, seed=seed)
-
-
-def format_bench_table(report: BenchReport) -> str:
-    """Fixed-width text table, one line per (kind, phase, size)."""
-    lines = [f"{'kind':<10} {'phase':<10} {'n':>6} {'repeats':>8} {'mean_s':>12} {'std_s':>12}"]
-    for e in report.entries:
-        lines.append(
-            f"{e.kind:<10} {e.phase:<10} {e.n_a:>6} {e.repeats:>8} "
-            f"{e.mean_s:>12.6f} {e.std_s:>12.6f}"
-        )
-    return "\n".join(lines)
-
-
-def write_bench_csv(report: BenchReport, path) -> None:
-    write_csv(path, [f.name for f in fields(BenchEntry)], map(astuple, report.entries))

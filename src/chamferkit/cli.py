@@ -1,6 +1,6 @@
 """Command-line surface. Every subcommand is a thin binding over the
-library: file outputs are produced by the same writer functions tests
-call directly, so the two routes are byte-identical.
+library, and every file it writes goes through one route: clouds
+through io.write_cloud, tables through io.write_csv.
 
 Exit codes: 0 success, 1 usage error, 2 data or domain error (a size
 too large to allocate included), 3 I/O error.
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +20,9 @@ from . import bench as bench_mod
 from .cloud import MAX_ABS_COORD, SHAPE_KINDS, gen_shape, partial_view_crop
 from .distances import TRANSFORM_KINDS, TransformSpec, chamfer, chamfer_poincare
 from .evaluation import THRESHOLD_MODES, evaluate
-from .fitting import (
-    DivergenceError,
-    FitConfig,
-    export_correspondences,
-    fit,
-    sweep_alpha_lr,
-    write_loss_csv,
-    write_sweep_csv,
-)
-from .gradients import default_curve_specs, sample_curves, write_curves_csv
-from .io import FORMATS, read_cloud, write_cloud
+from .fitting import DivergenceError, FitConfig, fit, sweep_alpha_lr
+from .gradients import CurveRow, default_curve_specs, sample_curves
+from .io import FORMATS, read_cloud, write_cloud, write_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +40,13 @@ def _parse_list(text: str, flag: str, cast=float) -> list:
     if not values:
         raise ValueError(f"{flag} expects at least one value")
     return values
+
+
+def _seed(args) -> int:
+    # numpy rejects a negative seed without naming the flag
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
 
 
 def _spec_from_args(args) -> TransformSpec:
@@ -91,7 +91,7 @@ def cmd_curves(args) -> int:
     if grid[1] < least:
         raise ValueError(f"--dmax / (--steps - 1) must be at least {least:.6g}, got {grid[1]:.6g}")
     rows = sample_curves(specs, grid, normalize=not args.no_normalize)
-    write_curves_csv(rows, args.out)
+    write_csv(args.out, [f.name for f in fields(CurveRow)], map(astuple, rows))
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -109,15 +109,20 @@ def cmd_fit(args) -> int:
     trajectory = fit(initial, target, config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    write_loss_csv(trajectory, outdir / "loss.csv")
-    write_cloud(trajectory.final_cloud, outdir / "final.xyz")
     written = [outdir / "loss.csv", outdir / "final.xyz"]
+    losses = zip(range(config.epochs), trajectory.losses, trajectory.l1_cd)
+    write_csv(written[0], ["epoch", "loss", "l1_cd"], losses)
+    write_cloud(trajectory.final_cloud, written[1])
     for epoch, cloud, _ in trajectory.snapshots:
-        snap_path = outdir / f"snapshot_epoch_{epoch:04d}.xyz"
-        write_cloud(cloud, snap_path)
-        written.append(snap_path)
-    if trajectory.snapshots:
-        written.extend(export_correspondences(trajectory, outdir))
+        path = outdir / f"snapshot_epoch_{epoch:04d}.xyz"
+        write_cloud(cloud, path)
+        written.append(path)
+    # each movable point beside the target point it is matched to
+    header = ["movable_x", "movable_y", "movable_z", "target_x", "target_y", "target_z"]
+    for epoch, cloud, match in trajectory.snapshots:
+        path = outdir / f"correspondence_epoch_{epoch:04d}.csv"
+        write_csv(path, header, np.hstack([cloud.points, target.points[match.fwd_idx]]))
+        written.append(path)
     print(f"final l1_cd={trajectory.final_l1_cd!r}")
     for path in written:
         print(f"wrote {path}")
@@ -134,7 +139,12 @@ def cmd_sweep(args) -> int:
         _parse_list(args.lrs, "--lrs"),
         epochs=args.epochs,
     )
-    write_sweep_csv(result, args.out)
+    # one row per alpha, one column per learning rate; a failed cell is blank
+    rows = (
+        [alpha, *(None if np.isnan(v) else v for v in cells)]
+        for alpha, cells in zip(result.alphas, result.final_l1_cd)
+    )
+    write_csv(args.out, ["alpha", *result.learning_rates], rows)
     total = result.final_l1_cd.size
     print(f"wrote {total} cells to {args.out} ({len(result.errors)} failed)")
     for (i, j), message in sorted(result.errors.items()):
@@ -159,7 +169,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cloud = gen_shape(args.kind, args.n, args.seed)
+    cloud = gen_shape(args.kind, args.n, _seed(args))
     partial = None
     if args.crop_k is not None:  # checked before any file is written
         if args.viewpoint is None:
@@ -184,11 +194,17 @@ def cmd_bench(args) -> int:
         kinds=tuple(args.kinds.split(",")),
         repeats=args.repeats,
         warmup=args.warmup,
-        seed=args.seed,
+        seed=_seed(args),
     )
-    print(bench_mod.format_bench_table(report))
+    print(f"{'kind':<10} {'phase':<10} {'n':>6} {'repeats':>8} {'mean_s':>12} {'std_s':>12}")
+    for e in report.entries:
+        print(
+            f"{e.kind:<10} {e.phase:<10} {e.n_a:>6} {e.repeats:>8} "
+            f"{e.mean_s:>12.6f} {e.std_s:>12.6f}"
+        )
     if args.out:
-        bench_mod.write_bench_csv(report, args.out)
+        entries = map(astuple, report.entries)
+        write_csv(args.out, [f.name for f in fields(bench_mod.BenchEntry)], entries)
         print(f"wrote {args.out}")
     return EXIT_OK
 

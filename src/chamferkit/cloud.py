@@ -27,10 +27,15 @@ def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     return (diff[..., 0] + diff[..., 1]) + diff[..., 2]
 
 
-def check_coord_range(name: str, points: np.ndarray) -> None:
-    """Raise ValueError unless every coordinate of points is within MAX_ABS_COORD in magnitude."""
+def check_coord_range(name: str, points: np.ndarray, nonfinite: str | None = None) -> None:
+    """Raise ValueError unless every coordinate of points is within MAX_ABS_COORD in magnitude.
+
+    NaN and ±inf fail too; given nonfinite, they raise with that message.
+    """
     largest = max(points.max(), -points.min())
     if not largest <= MAX_ABS_COORD:  # NaN fails too
+        if nonfinite is not None and not np.isfinite(points).all():
+            raise ValueError(nonfinite)
         raise ValueError(
             f"{name} has a coordinate of magnitude {largest:.6g}, "
             f"beyond the supported {MAX_ABS_COORD:g}"
@@ -44,9 +49,7 @@ def as_point(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64).reshape(-1)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3D point, got shape {np.shape(p)}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"point has non-finite coordinates: {arr.tolist()}")
-    check_coord_range("point", arr)
+    check_coord_range("point", arr, f"point has non-finite coordinates: {arr.tolist()}")
     return arr
 
 
@@ -69,9 +72,7 @@ class PointCloud:
             raise ValueError(f"expected an (N, 3) array of points, got shape {pts.shape}")
         if pts.shape[0] == 0:
             raise ValueError("point cloud must contain at least one point")
-        if not np.isfinite(pts).all():
-            raise ValueError("point cloud contains non-finite coordinates")
-        check_coord_range("point cloud", pts)
+        check_coord_range("point cloud", pts, "point cloud contains non-finite coordinates")
         pts.setflags(write=False)
         self.points = pts
 
@@ -183,6 +184,8 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     """
     vp = as_point(viewpoint)
     n = len(cloud)
+    if n == 1:
+        raise ValueError("a one-point cloud cannot be cropped: no point would be left")
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     # stable sort makes equal distances come out in index order
@@ -190,21 +193,6 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     keep = np.ones(n, dtype=bool)
     keep[order[:k]] = False
     return PointCloud(cloud.points[keep])
-
-
-def normalize_to_unit_box(cloud: PointCloud) -> tuple[PointCloud, BoundingBox]:
-    """Translate and uniformly scale so the cloud fits [0, 1]^3 exactly.
-
-    The longest bounding-box edge maps to length 1; aspect ratio is kept.
-    Returns the normalized cloud and the original bounding box so the
-    transform can be undone. Degenerate clouds (all points identical)
-    have no defined scale and are rejected.
-    """
-    box = bounding_box(cloud)
-    scale = box.extent.max()
-    if scale <= 0.0:
-        raise ValueError("cannot normalize a degenerate cloud (all points identical)")
-    return PointCloud((cloud.points - box.min_corner) / scale), box
 
 
 def jitter_cloud(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:

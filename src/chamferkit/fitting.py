@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud, check_coord_range
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
-from .io import write_csv
 from .matching import MatchResult, match_indexed
 
 _L1_SPEC = TransformSpec("l1")
@@ -160,39 +158,3 @@ def sweep_alpha_lr(
             except (ValueError, DivergenceError) as exc:
                 errors[(i, j)] = str(exc)
     return SweepResult(alphas, learning_rates, grid, errors)
-
-
-def export_correspondences(trajectory: FitTrajectory, out_dir) -> list[Path]:
-    """Write one CSV per snapshot pairing each movable point with its match.
-
-    Columns movable_x..movable_z, target_x..target_z, one row per movable
-    point, named correspondence_epoch_NNNN.csv under out_dir. Returns the
-    paths written. A trajectory without snapshots is an error.
-    """
-    if not trajectory.snapshots:
-        raise ValueError("trajectory has no snapshots to export")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    header = ["movable_x", "movable_y", "movable_z", "target_x", "target_y", "target_z"]
-    for epoch, cloud, match in trajectory.snapshots:
-        path = out / f"correspondence_epoch_{epoch:04d}.csv"
-        matched = trajectory.target.points[match.fwd_idx]
-        write_csv(path, header, np.hstack([cloud.points, matched]))
-        paths.append(path)
-    return paths
-
-
-def write_loss_csv(trajectory: FitTrajectory, path) -> None:
-    """Per-epoch training loss and plain-l1 chamfer, one row per epoch."""
-    rows = zip(range(len(trajectory.losses)), trajectory.losses, trajectory.l1_cd)
-    write_csv(path, ["epoch", "loss", "l1_cd"], rows)
-
-
-def write_sweep_csv(result: SweepResult, path) -> None:
-    """Matrix CSV: one row per alpha, one column per learning rate."""
-    rows = (
-        [alpha, *(None if np.isnan(v) else v for v in cells)]
-        for alpha, cells in zip(result.alphas, result.final_l1_cd)
-    )
-    write_csv(path, ["alpha", *result.learning_rates], rows)

@@ -9,19 +9,13 @@ regime.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cloud import PointCloud, pair_sq
 from .distances import TransformSpec, chamfer, transform, transform_derivative
-from .io import write_csv
 from .matching import MatchResult, match_brute, match_indexed
-
-# A configuration counts as smooth when every matched distance clears this
-# and every runner-up candidate is farther than the tie margin.
-SMOOTH_DISTANCE_EPS = 1e-6
-SMOOTH_TIE_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,8 +92,8 @@ def finite_diff_gradient(
 def is_smooth_config(
     movable: PointCloud,
     target: PointCloud,
-    distance_eps: float = SMOOTH_DISTANCE_EPS,
-    tie_eps: float = SMOOTH_TIE_EPS,
+    distance_eps: float = 1e-6,
+    tie_eps: float = 1e-6,
 ) -> bool:
     """True when every match clears distance_eps and no match is near-tied.
 
@@ -191,7 +185,3 @@ def sample_curves(
                 )
             )
     return rows
-
-
-def write_curves_csv(rows: list[CurveRow], path) -> None:
-    write_csv(path, [f.name for f in fields(CurveRow)], map(astuple, rows))

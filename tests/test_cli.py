@@ -19,18 +19,15 @@ from chamferkit import (
     TransformSpec,
     chamfer,
     chamfer_poincare,
-    default_curve_specs,
     evaluate,
     fit,
     read_cloud,
-    sample_curves,
-    sweep_alpha_lr,
     write_cloud,
-    write_curves_csv,
-    write_sweep_csv,
 )
 import chamferkit
 from chamferkit.cli import main
+from chamferkit.fitting import sweep_alpha_lr
+from chamferkit.gradients import default_curve_specs, sample_curves
 
 from testutil import uniform_cloud
 
@@ -39,6 +36,12 @@ def write_xyz(path, rows) -> PointCloud:
     cloud = PointCloud(rows)
     write_cloud(cloud, path)
     return cloud
+
+
+def csv_line(*cells) -> str:
+    """One CSV row as the CLI writes it: floats repr-exact, None blank."""
+    text = ("" if c is None else repr(float(c)) if isinstance(c, float) else str(c) for c in cells)
+    return ",".join(text) + "\r\n"
 
 
 def stdout_fields(captured: str) -> dict[str, str]:
@@ -153,11 +156,14 @@ class TestDistance:
 class TestCurves:
     def test_default_output_matches_library_bytes(self, tmp_path, capsys):
         cli_path = tmp_path / "cli.csv"
-        lib_path = tmp_path / "lib.csv"
         assert main(["curves", "--out", str(cli_path)]) == 0
         rows = sample_curves(default_curve_specs(), np.linspace(0.0, 2.0, 200))
-        write_curves_csv(rows, lib_path)
-        assert cli_path.read_bytes() == lib_path.read_bytes()
+        expected = csv_line("kind", "alpha", "beta", "d", "value", "grad", "grad_normalized")
+        expected += "".join(
+            csv_line(r.kind, r.alpha, r.beta, r.d, r.value, r.grad, r.grad_normalized)
+            for r in rows
+        )
+        assert cli_path.read_bytes() == expected.encode("ascii")
         assert f"wrote {len(rows)} rows" in capsys.readouterr().out
 
     def test_custom_grid_cross_product(self, tmp_path, capsys):
@@ -419,9 +425,11 @@ class TestSweep:
             ]
         ) == 0
         result = sweep_alpha_lr(init, target, [0.5, 1], [0, 0.01], epochs=3)
-        lib_path = tmp_path / "lib.csv"
-        write_sweep_csv(result, lib_path)
-        assert cli_path.read_bytes() == lib_path.read_bytes()
+        assert result.errors == {}
+        expected = csv_line("alpha", 0.0, 0.01) + "".join(
+            csv_line(alpha, *cells) for alpha, cells in zip(result.alphas, result.final_l1_cd)
+        )
+        assert cli_path.read_bytes() == expected.encode("ascii")
         assert "wrote 4 cells" in capsys.readouterr().out
 
     def test_failed_cells_go_to_stderr(self, tmp_path, capsys):
@@ -568,12 +576,20 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "crop", [["--crop-k", "2"], ["--crop-k", "2", "--viewpoint", "nan,0,0"],
-                 ["--crop-k", "2", "--viewpoint", "1e308,0,0"]]
+                 ["--crop-k", "2", "--viewpoint", "1e308,0,0"],
+                 # the later --n overrides the 16
+                 ["--n", "1", "--crop-k", "1", "--viewpoint", "0,0,0"]]
     )
     def test_crop_errors_write_no_file(self, tmp_path, capsys, crop):
         out = str(tmp_path / "p.xyz")
         assert main(["gen", "--kind", "plane-grid", "--n", "16", "--out", out] + crop) == 2
         assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = str(tmp_path / "p.xyz")
+        assert main(["gen", "--kind", "sphere-surface", "--n", "4", "--seed=-5", "--out", out]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative, got -5\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_shape_kind_is_usage_error(self, tmp_path, capsys):
@@ -605,6 +621,12 @@ class TestBench:
 
     def test_too_few_repeats_is_data_error(self, tmp_path, capsys):
         assert main(["bench", "--sizes", "32", "--repeats", "2"]) == 2
+
+    def test_negative_seed_is_named(self, capsys):
+        assert main(["bench", "--sizes", "32", "--repeats", "3", "--seed=-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -5\n"
 
     def test_unknown_bench_kind_is_data_error(self, capsys):
         assert main(["bench", "--sizes", "32", "--kinds", "l3", "--repeats", "3"]) == 2
@@ -744,7 +766,7 @@ _FUZZ_GRIDS = ["1", "0.5,2", "0", "-1", "1e150", "1e200", "nan", "x", ""]
 # subcommand: (positional file count, {flag: values, None for a switch})
 _FUZZ_COMMANDS = {
     "distance": (2, {
-        "--kind": [*chamferkit.BENCH_KINDS, "l3"], "--alpha": _FUZZ_NUMBERS,
+        "--kind": [*chamferkit.bench.BENCH_KINDS, "l3"], "--alpha": _FUZZ_NUMBERS,
         "--beta": _FUZZ_NUMBERS, "--scale-display": _FUZZ_NUMBERS, "--format": _FUZZ_FORMAT,
     }),
     "curves": (0, {
@@ -753,7 +775,7 @@ _FUZZ_COMMANDS = {
         "--no-normalize": None, "--out": _FUZZ_OUTS,
     }),
     "fit": (2, {
-        "--kind": [*chamferkit.TRANSFORM_KINDS, "poincare"], "--alpha": _FUZZ_NUMBERS,
+        "--kind": [*chamferkit.distances.TRANSFORM_KINDS, "poincare"], "--alpha": _FUZZ_NUMBERS,
         "--beta": _FUZZ_NUMBERS, "--lr": _FUZZ_NUMBERS, "--epochs": _FUZZ_EPOCHS,
         "--snapshots": ["0", "0,1", "5", "x"], "--outdir": _FUZZ_OUTS, "--format": _FUZZ_FORMAT,
     }),
@@ -766,7 +788,7 @@ _FUZZ_COMMANDS = {
         "--scale-display": _FUZZ_NUMBERS, "--format": _FUZZ_FORMAT,
     }),
     "gen": (0, {
-        "--kind": [*chamferkit.SHAPE_KINDS, "torus"], "--n": ["-1", "0", "1", "7"],
+        "--kind": [*chamferkit.cloud.SHAPE_KINDS, "torus"], "--n": ["-1", "0", "1", "7"],
         "--seed": ["0", "-5", "x"], "--crop-k": ["0", "1", "3", "9"],
         "--viewpoint": ["0,0,0", "1e200,0,0", "nan,0,0", "1,2"], "--out": _FUZZ_OUTS,
     }),

@@ -3,17 +3,14 @@ import pytest
 
 from chamferkit import (
     MAX_ABS_COORD,
-    BoundingBox,
     PointCloud,
     as_point,
     bounding_box,
     displace_outliers,
     gen_shape,
     jitter_cloud,
-    normalize_to_unit_box,
-    partial_view_crop,
 )
-from chamferkit.cloud import check_coord_range
+from chamferkit.cloud import BoundingBox, check_coord_range, partial_view_crop
 
 
 class TestPointCloud:
@@ -218,32 +215,8 @@ class TestPartialViewCrop:
             partial_view_crop(c, [0, 0, 0], 0)
         with pytest.raises(ValueError):
             partial_view_crop(c, [0, 0, 0], 2)
-
-
-class TestNormalizeToUnitBox:
-    def test_simple_segment(self):
-        c = PointCloud([[0, 0, 0], [2, 0, 0]])
-        out, box = normalize_to_unit_box(c)
-        np.testing.assert_array_equal(out.points, [[0, 0, 0], [1, 0, 0]])
-        np.testing.assert_array_equal(box.max_corner, [2, 0, 0])
-
-    def test_unit_extent_cloud_unchanged(self):
-        c = PointCloud([[0, 0, 0], [1, 0.5, 0.25]])
-        out, _ = normalize_to_unit_box(c)
-        np.testing.assert_array_equal(out.points, c.points)
-
-    def test_longest_extent_is_one(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            c = PointCloud(rng.uniform(-3, 7, size=(rng.integers(2, 200), 3)))
-            out, _ = normalize_to_unit_box(c)
-            ext = out.points.max(axis=0) - out.points.min(axis=0)
-            assert abs(ext.max() - 1.0) < 1e-12
-            assert out.points.min() >= -1e-12 and out.points.max() <= 1 + 1e-12
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            normalize_to_unit_box(PointCloud([[1, 1, 1], [1, 1, 1]]))
+        with pytest.raises(ValueError, match="^a one-point cloud cannot be cropped"):
+            partial_view_crop(PointCloud([[0, 0, 0]]), [0, 0, 0], 1)
 
 
 class TestJitterAndOutliers:

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from chamferkit import (
-    PointCloud,
-    THRESHOLD_MODES,
-    TransformSpec,
-    chamfer,
-    evaluate,
-    fscore,
-    hausdorff,
-)
+from chamferkit import PointCloud, TransformSpec, chamfer, evaluate, fscore, hausdorff
+from chamferkit.evaluation import THRESHOLD_MODES
 
 from testutil import uniform_cloud
 

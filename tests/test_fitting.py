@@ -6,21 +6,20 @@ import pytest
 from chamferkit import (
     DivergenceError,
     FitConfig,
-    GradientField,
     PointCloud,
     TransformSpec,
     chamfer,
     chamfer_gradient,
-    export_correspondences,
     fit,
     gen_shape,
     jitter_cloud,
     match_indexed,
-    sweep_alpha_lr,
-    write_loss_csv,
-    write_sweep_csv,
+    write_cloud,
 )
 from chamferkit import fitting
+from chamferkit.cli import main
+from chamferkit.fitting import sweep_alpha_lr
+from chamferkit.gradients import GradientField
 
 from testutil import uniform_cloud
 
@@ -32,6 +31,14 @@ HYPER = TransformSpec("hyper", 1.0, 2.0)
 def jittered_sphere(n=128, sigma=0.1, seed=7):
     clean = gen_shape("sphere-surface", n, seed=seed)
     return jitter_cloud(clean, sigma, seed=seed + 1), clean
+
+
+def cloud_files(tmp_path, initial, target) -> list[str]:
+    """Write the pair as init.xyz and target.xyz; the CLI reads back every bit."""
+    paths = [tmp_path / "init.xyz", tmp_path / "target.xyz"]
+    for cloud, path in zip((initial, target), paths):
+        write_cloud(cloud, path)
+    return [str(p) for p in paths]
 
 
 class TestFitConfig:
@@ -187,18 +194,18 @@ class TestFit:
 
 
 class TestExportCorrespondences:
-    def test_writes_one_csv_per_snapshot(self, tmp_path):
+    def test_writes_one_csv_per_snapshot(self, tmp_path, capsys):
         noisy, clean = jittered_sphere(n=24)
         cfg = FitConfig(
             spec=HYPER, learning_rate=0.02, epochs=8, snapshot_epochs=(0, 4, 8)
         )
         traj = fit(noisy, clean, cfg)
-        paths = export_correspondences(traj, tmp_path / "corr")
-        assert [p.name for p in paths] == [
-            "correspondence_epoch_0000.csv",
-            "correspondence_epoch_0004.csv",
-            "correspondence_epoch_0008.csv",
-        ]
+        args = ["fit", *cloud_files(tmp_path, noisy, clean), "--lr", "0.02", "--epochs", "8"]
+        outdir = tmp_path / "corr"
+        assert main(args + ["--snapshots", "0,4,8", "--outdir", str(outdir)]) == 0
+        paths = [outdir / f"correspondence_epoch_{e:04d}.csv" for e in (0, 4, 8)]
+        # listed last, in epoch order
+        assert capsys.readouterr().out.splitlines()[-3:] == [f"wrote {p}" for p in paths]
         for path, (epoch, cloud, match) in zip(paths, traj.snapshots):
             with open(path, newline="") as fh:
                 rows = list(csv.reader(fh))
@@ -211,12 +218,6 @@ class TestExportCorrespondences:
             matched = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
             np.testing.assert_array_equal(movable, cloud.points)
             np.testing.assert_array_equal(matched, clean.points[match.fwd_idx])
-
-    def test_requires_snapshots(self, tmp_path):
-        a = PointCloud([[0.0, 0.0, 0.0]])
-        traj = fit(a, a, FitConfig(spec=L2, learning_rate=0.1, epochs=1))
-        with pytest.raises(ValueError, match="snapshot"):
-            export_correspondences(traj, tmp_path)
 
 
 class TestSweep:
@@ -264,12 +265,13 @@ class TestSweep:
 
 
 class TestCsvWriters:
-    def test_loss_csv(self, tmp_path):
+    def test_loss_csv(self, tmp_path, capsys):
         a = PointCloud([[0.0, 0.0, 0.0]])
         b = PointCloud([[1.0, 0.0, 0.0]])
         traj = fit(a, b, FitConfig(spec=L2, learning_rate=0.1, epochs=3))
+        args = ["fit", *cloud_files(tmp_path, a, b), "--kind", "l2", "--lr", "0.1"]
+        assert main(args + ["--epochs", "3", "--outdir", str(tmp_path)]) == 0
         path = tmp_path / "loss.csv"
-        write_loss_csv(traj, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "loss", "l1_cd"]
@@ -279,11 +281,12 @@ class TestCsvWriters:
             assert float(row[1]) == traj.losses[e]
             assert float(row[2]) == traj.l1_cd[e]
 
-    def test_sweep_csv_with_nan_cell(self, tmp_path):
+    def test_sweep_csv_with_nan_cell(self, tmp_path, capsys):
         noisy, clean = jittered_sphere(n=16)
         result = sweep_alpha_lr(noisy, clean, [0.5, 1.0], [-0.1, 0.01], epochs=2)
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(result, path)
+        args = ["sweep", *cloud_files(tmp_path, noisy, clean), "--alphas", "0.5,1"]
+        assert main(args + ["--lrs=-0.1,0.01", "--epochs", "2", "--out", str(path)]) == 0
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["alpha", "-0.1", "0.01"]

@@ -10,15 +10,13 @@ from chamferkit import (
     TransformSpec,
     chamfer,
     chamfer_gradient,
-    default_curve_specs,
     finite_diff_gradient,
-    is_smooth_config,
-    sample_curves,
     transform,
     transform_derivative,
     weight_z,
-    write_curves_csv,
 )
+from chamferkit.cli import main
+from chamferkit.gradients import default_curve_specs, is_smooth_config, sample_curves
 
 from testutil import max_rel_coord_err, smooth_pair, uniform_cloud
 
@@ -369,11 +367,10 @@ class TestSampleCurves:
         with pytest.raises(ValueError, match="non-empty"):
             sample_curves(spec, [])
 
-    def test_csv_round_trip(self, tmp_path):
-        grid = np.linspace(0, 2, 10)
-        rows = sample_curves(default_curve_specs(), grid)
+    def test_csv_round_trip(self, tmp_path, capsys):
+        rows = sample_curves(default_curve_specs(), np.linspace(0, 2, 10))
         path = tmp_path / "curves.csv"
-        write_curves_csv(rows, path)
+        assert main(["curves", "--steps", "10", "--out", str(path)]) == 0
         with open(path, newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0] == ["kind", "alpha", "beta", "d", "value", "grad", "grad_normalized"]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from chamferkit import PointCloud, is_smooth_config, transform
+from chamferkit import PointCloud, transform
+from chamferkit.gradients import is_smooth_config
 
 
 def uniform_cloud(rng, n, scale=1.0, offset=0.0):
