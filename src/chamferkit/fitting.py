@@ -9,7 +9,7 @@ import numpy as np
 from .cloud import PointCloud, check_coord_range
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
-from .matching import MatchResult, match_indexed
+from .matching import MatchResult, _Matcher
 
 _L1_SPEC = TransformSpec("l1")
 
@@ -59,7 +59,6 @@ class FitTrajectory:
     """
 
     config: FitConfig
-    target: PointCloud
     losses: np.ndarray
     l1_cd: np.ndarray
     final_cloud: PointCloud
@@ -70,8 +69,13 @@ class FitTrajectory:
 def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajectory:
     """Descend chamfer(movable, target, config.spec) from initial.
 
-    Matches and scores each of the states 0..epochs afresh; every state
-    but the last then takes the update movable -= lr * grad. Raises
+    Matches and scores each of the states 0..epochs; every state but the
+    last then takes the update movable -= lr * grad. One matcher serves
+    the whole run: it builds the target's kd-tree once and re-queries
+    only the rows whose nearest point can have changed since the last
+    state, keeping a row's match where the triangle inequality proves it
+    unique and outside every tie radius (see chamferkit.matching), so
+    every match equals match_indexed's, bit for bit. Raises
     DivergenceError the moment the loss leaves the finite range or any
     coordinate leaves PointCloud's range |x| <= MAX_ABS_COORD.
     Deterministic: same inputs, same trajectory.
@@ -81,13 +85,14 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
     losses = np.empty(config.epochs)
     l1_cd = np.empty(config.epochs)
     snapshots: list[tuple[int, PointCloud, MatchResult]] = []
+    matcher = _Matcher(target)
 
     for epoch in range(config.epochs + 1):
         cloud = PointCloud(current)
         # overflow during the step is the divergence signal itself; the
         # finiteness checks below turn it into a DivergenceError
         with np.errstate(over="ignore"):
-            match = match_indexed(cloud, target)
+            match = matcher.match(cloud)
             l1 = chamfer(cloud, target, _L1_SPEC, match=match).value
             if epoch in wanted:
                 snapshots.append((epoch, cloud, match))
@@ -106,7 +111,6 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
 
     return FitTrajectory(
         config=config,
-        target=target,
         losses=losses,
         l1_cd=l1_cd,
         final_cloud=cloud,

@@ -18,6 +18,23 @@ minimum taken over all candidates at once. Rows whose k-th candidate
 still lies inside the tie radius, where more candidates may tie beyond
 it, go through the same pass again with a larger k, sized from a count
 of the targets inside that radius.
+
+fit matches a slowly moving cloud against one fixed target every epoch,
+through one private matcher. It builds the target's tree once and
+keeps, for every row in each direction, the kd nearest distance d1 and
+runner-up distance d2 of the row's last query, its chosen index, and s,
+the row's move since that query: the L1 norm of its coordinate changes
+for a row of the moving cloud, and the largest such move of any point
+for a row of the target. The L1 norm bounds the Euclidean move and does
+not underflow. By the triangle inequality the chosen point is now at
+most d1 + s away and every other point at least d2 - s, so where
+(d1 + s) * (1 + _TIE_RTOL) < d2 - s the nearest point is unique, lies
+outside every tie radius, and is the one match_brute returns: the row
+keeps its index without a query. Rows with d2 below 1e-150, where kd
+distances lose their relative accuracy, and every other row are queried
+again as above, ties included; the moving cloud's tree is built only
+when some target row needs it. Squared distances are recomputed for all
+rows, so a warm-started match carries the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -123,40 +140,125 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     squared distances are recomputed from the chosen indices with the
     canonical arithmetic.
     """
+    return _Matcher(b).match(a, last=True)
+
+
+def _kd_tree(points):
     # imported on the first kd build: scipy takes longer to import than
     # the rest of the package, and only this route needs it
     from scipy.spatial import cKDTree
 
     # sliding-midpoint splits build in about half the time of median
     # splits; each tree's leaf order also orders its own cloud's queries
-    tree_a = cKDTree(a.points, balanced_tree=False)
-    tree_b = cKDTree(b.points, balanced_tree=False)
-    order_b = tree_b.indices
-    fwd_idx, fwd_sq = _indexed_nearest(tree_b, a.points, b.points, tree_a.indices)
-    del tree_b  # not needed by the backward pass; lowers the peak memory
-    bwd_idx, bwd_sq = _indexed_nearest(tree_a, b.points, a.points, order_b)
-    return MatchResult(fwd_idx, fwd_sq, bwd_idx, bwd_sq)
+    return cKDTree(points, balanced_tree=False)
 
 
-def _indexed_nearest(tree, Q, T, order):
-    """Nearest row of T, by tree (built on T), for every row of Q.
+class _Matcher:
+    """match_indexed for successive states of one cloud against one target.
 
-    Rows are queried in the given order, a permutation of Q's rows; the
-    results do not depend on it.
+    Built once per target, whose kd-tree it keeps. The first call queries
+    every row; each later call re-queries only the rows that _Rows.stale
+    finds may have changed their nearest point, and keeps the rest.
     """
-    # a one-point target reports its missing runner-up at distance inf,
-    # so none of its rows reads as tied
-    dist, idx = tree.query(Q[order], k=2)
-    best = np.empty(len(Q), dtype=np.int64)
-    best[order] = idx[:, 0]
-    # a runner-up inside the tie radius marks an exact tie or a near-tie the
-    # tree may have ordered by its own rounding; 1e-9 is far above kd error
-    radii = dist[:, 0] * (1.0 + _TIE_RTOL)
-    ambiguous = np.flatnonzero(dist[:, 1] <= radii)
-    del dist, idx
-    if len(ambiguous):
-        _resolve_ties(tree, Q, T, order[ambiguous], radii[ambiguous], best, _TIE_K)
-    return best, pair_sq(Q, T[best])
+
+    def __init__(self, target: PointCloud):
+        self._target = target.points
+        self._tree = _kd_tree(self._target)
+        self._target_order = self._tree.indices
+        self._cloud = None  # the points of the last call
+        self._order = None  # the leaf order of the last tree built on them
+        self._fwd = self._bwd = None  # each direction's _Rows, made by the first call
+
+    def match(self, cloud: PointCloud, last: bool = False) -> MatchResult:
+        """match_indexed(cloud, target).
+
+        last: no call follows, so nothing is recorded for one, and the
+        target's tree is dropped before the backward pass, which keeps a
+        one-shot match's peak memory that of two trees.
+        """
+        A, T = cloud.points, self._target
+        if self._cloud is None:
+            self._fwd, self._bwd = _Rows(len(A), not last), _Rows(len(T), not last)
+        else:
+            # the L1 norm bounds the Euclidean move and cannot underflow; a
+            # target row's distances move by at most the largest move
+            move = np.abs(A - self._cloud).sum(axis=1)
+            self._fwd.s += move
+            self._bwd.s += move.max()
+        self._cloud = A
+        bwd_order = self._bwd.stale(self._target_order)
+        tree = None
+        if len(bwd_order):
+            tree = _kd_tree(A)
+            self._order = tree.indices
+        self._fwd.requery(self._tree, A, T, self._fwd.stale(self._order))
+        fwd_idx = self._fwd.idx
+        fwd_sq = pair_sq(A, T[fwd_idx])
+        if last:
+            self._tree = None
+        if tree is not None:
+            self._bwd.requery(tree, T, A, bwd_order)
+        bwd_idx = self._bwd.idx
+        return MatchResult(fwd_idx, fwd_sq, bwd_idx, pair_sq(T, A[bwd_idx]))
+
+
+class _Rows:
+    """One direction's record of its queries, one entry per query row.
+
+    idx is the row's nearest target. Recorded for a later call: d1 and d2,
+    the kd nearest and runner-up distances of the row's last query, and
+    s, a bound on how far the row has moved since, relative to every
+    target.
+    """
+
+    def __init__(self, n: int, record: bool):
+        self.idx = None  # set by the first query, which takes every row
+        self.record = record
+        if record:
+            self.d1 = np.full(n, np.inf)  # never queried: stale, as inf < inf fails
+            self.d2 = np.full(n, np.inf)
+            self.s = np.zeros(n)
+
+    def stale(self, order: np.ndarray) -> np.ndarray:
+        """The rows in order whose nearest target may differ from idx.
+
+        By the triangle inequality idx is now at most d1 + s away and every
+        other target at least d2 - s, so a kept row's nearest target is
+        unique, lies outside every tie radius and is match_brute's. Below
+        d2 = 1e-150 the kd distances lose their relative accuracy. Without
+        a record every row is stale.
+        """
+        if not self.record:
+            return order
+        keep = (self.d1 + self.s) * (1.0 + _TIE_RTOL) < self.d2 - self.s
+        keep &= self.d2 >= 1e-150
+        return order[~keep[order]]
+
+    def requery(self, tree, Q, T, order):
+        """Query the rows of Q listed in order against tree, built on T.
+
+        The order, a leaf order of Q's rows, changes the speed, never the
+        result.
+        """
+        if not len(order):
+            return
+        # a one-point target reports its missing runner-up at distance inf,
+        # so none of its rows reads as tied
+        dist, idx = tree.query(Q[order], k=2)
+        # earlier results hold the old idx, so the rows go to a copy
+        best = np.empty(len(Q), dtype=np.int64) if self.idx is None else self.idx.copy()
+        best[order] = idx[:, 0]
+        self.idx = best
+        if self.record:
+            self.d1[order], self.d2[order] = dist.T
+            self.s[order] = 0.0
+        # a runner-up inside the tie radius marks an exact tie or a near-tie the
+        # tree may have ordered by its own rounding; 1e-9 is far above kd error
+        radii = dist[:, 0] * (1.0 + _TIE_RTOL)
+        ambiguous = np.flatnonzero(dist[:, 1] <= radii)
+        del dist, idx
+        if len(ambiguous):
+            _resolve_ties(tree, Q, T, order[ambiguous], radii[ambiguous], self.idx, _TIE_K)
 
 
 def _resolve_ties(tree, Q, T, queries, radii, best, k):

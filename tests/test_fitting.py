@@ -2,6 +2,9 @@ import csv
 
 import numpy as np
 import pytest
+import scipy.spatial
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chamferkit import (
     DivergenceError,
@@ -13,6 +16,7 @@ from chamferkit import (
     fit,
     gen_shape,
     jitter_cloud,
+    match_brute,
     match_indexed,
     write_cloud,
 )
@@ -102,7 +106,6 @@ class TestFit:
         assert traj.l1_cd.shape == (6,)
         assert traj.losses[0] == chamfer(a, b, HYPER).value
         assert traj.l1_cd[0] == chamfer(a, b, L1).value
-        assert traj.target == b
 
     def test_noisy_sphere_alignment_improves(self):
         noisy, clean = jittered_sphere()
@@ -191,6 +194,84 @@ class TestFit:
         a = PointCloud([[0.0, 0.0, 0.0]])
         traj = fit(a, a, FitConfig(spec=L2, learning_rate=0.1, epochs=1))
         assert traj.snapshots == []
+
+
+class TestMatchingAcrossEpochs:
+    """fit keeps one matcher for its whole run, which re-queries only the
+    rows whose nearest point can have changed; its matches must still be
+    match_brute's, bit for bit, at every epoch."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The points of every kd-tree built, in build order."""
+        built = []
+        real = scipy.spatial.cKDTree
+
+        def counting(data, *args, **kwargs):
+            built.append(np.array(data))
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        return built
+
+    def test_target_tree_built_once(self, builds):
+        noisy, clean = jittered_sphere(n=256)
+        fit(noisy, clean, FitConfig(spec=HYPER, learning_rate=0.05, epochs=10))
+        assert [np.array_equal(p, clean.points) for p in builds].count(True) == 1
+        assert 2 <= len(builds) <= 12
+
+    def test_zero_learning_rate_builds_no_tree_after_epoch_0(self, builds):
+        rng = np.random.default_rng(53)
+        a = uniform_cloud(rng, 200)
+        b = uniform_cloud(rng, 150)
+        config = FitConfig(spec=HYPER, learning_rate=0.0, epochs=5, snapshot_epochs=(5,))
+        traj = fit(a, b, config)
+        assert len(builds) == 2
+        assert np.array_equal(builds[0], b.points) and np.array_equal(builds[1], a.points)
+        match = traj.snapshots[0][2]
+        expected = match_brute(a, b)
+        for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+            assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
+
+    @seed(20261025)
+    @settings(max_examples=120, deadline=5000, database=None)
+    @given(
+        st.sampled_from(
+            ["uniform", "duplicated", "shifted grid", "one-point target", "one-point cloud"]
+        ),
+        st.sampled_from([0.0, 1e-6, 0.5, 2.0]),
+        st.sampled_from([1e-155, 1.0, 1e149]),
+        st.sampled_from([HYPER, L1]),
+        st.integers(1, 10),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_epoch_equals_brute(self, layout, lr, scale, spec, epochs, cloud_seed):
+        # duplicated targets and the half-spacing grid shift tie, so those
+        # rows are never kept; one-point clouds have no runner-up (d2 = inf);
+        # at 1e-155 every d2 is below the 1e-150 floor
+        rng = np.random.default_rng(cloud_seed)
+        n, m = (int(k) for k in rng.integers(1, 80, 2))
+        initial, target = rng.uniform(0.0, 1.0, (n, 3)), rng.uniform(0.0, 1.0, (m, 3))
+        if layout == "duplicated":
+            target = target[rng.permutation(np.resize(np.arange(m), 3 * m))]
+            initial = np.vstack([initial, target[:m]])
+        elif layout == "shifted grid":
+            target = gen_shape("plane-grid", 64, seed=0).points
+            initial = target + [0.5 / 7, 0.5 / 7, 0.0]
+        elif layout == "one-point target":
+            target = target[:1]
+        elif layout == "one-point cloud":
+            initial = initial[:1]
+        initial, target = PointCloud(initial * scale), PointCloud(target * scale)
+        config = FitConfig(
+            spec=spec, learning_rate=lr, epochs=epochs, snapshot_epochs=range(epochs + 1)
+        )
+        traj = fit(initial, target, config)
+        assert len(traj.snapshots) == epochs + 1
+        for _, cloud, match in traj.snapshots:
+            expected = match_brute(cloud, target)
+            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+                assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
 
 
 class TestExportCorrespondences:

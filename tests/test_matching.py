@@ -369,6 +369,37 @@ class TestIndexedEqualsBruteProperty:
         assert_matches_equal(match_indexed(b, a), match_brute(b, a))
 
 
+class TestMatcherAcrossCalls:
+    @seed(20261026)
+    @settings(max_examples=100, deadline=5000, database=None)
+    @given(
+        st.sampled_from(["translate", "walk", "one point"]),
+        st.sampled_from([1e-3, 1e-2, 1e-1]),
+        st.sampled_from([1e-155, 1.0, 1e149]),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_each_call_equals_brute(self, motion, step, scale, calls, cloud_seed):
+        # axis-aligned translation and a single moving point make the keep
+        # rule's move bounds tight: the L1 move equals the Euclidean one in
+        # the first, and the largest move is the only move in the second
+        rng = np.random.default_rng(cloud_seed)
+        n, m = (int(k) for k in rng.integers(1, 120, 2))
+        target = PointCloud(rng.uniform(0.0, 1.0, (m, 3)) * scale)
+        points = rng.uniform(0.0, 1.0, (n, 3))
+        matcher = matching._Matcher(target)
+        for _ in range(calls):
+            cloud = PointCloud(points * scale)
+            assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
+            if motion == "translate":
+                points = points + np.eye(3)[rng.integers(3)] * step
+            elif motion == "walk":
+                points = points + rng.uniform(-step, step, points.shape)
+            else:
+                points = points.copy()
+                points[rng.integers(n)] += rng.uniform(-step, step, 3)
+
+
 class TestCoordinateRange:
     def test_limit_is_accepted_and_agrees(self):
         a = PointCloud([[MAX_ABS_COORD, 0, 0], [0, 0, 0]])
