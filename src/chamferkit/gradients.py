@@ -53,7 +53,11 @@ def chamfer_gradient(
         coef_f = np.where(d_f > 0, transform_derivative(spec, d_f) / d_f, 0.0) / n
         coef_b = np.where(d_b > 0, transform_derivative(spec, d_b) / d_b, 0.0) / m
     grad += coef_f[:, None] * (A - B[match.fwd_idx])
-    np.add.at(grad, match.bwd_idx, coef_b[:, None] * (A[match.bwd_idx] - B))
+    # one 1-D scatter per coordinate: each element still accumulates in
+    # occurrence order, as a 2-D np.add.at would, at a fraction of its cost
+    pull = coef_b[:, None] * (A[match.bwd_idx] - B)
+    for c in range(3):
+        np.add.at(grad[:, c], match.bwd_idx, pull[:, c])
 
     loss = chamfer(movable, target, spec, match=match).value
     return GradientField(grad, loss)

@@ -21,20 +21,34 @@ of the targets inside that radius.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
 through one private matcher. It builds the target's tree once and
-keeps, for every row in each direction, the kd nearest distance d1 and
-runner-up distance d2 of the row's last query, its chosen index, and s,
-the row's move since that query: the L1 norm of its coordinate changes
-for a row of the moving cloud, and the largest such move of any point
-for a row of the target. The L1 norm bounds the Euclidean move and does
-not underflow. By the triangle inequality the chosen point is now at
-most d1 + s away and every other point at least d2 - s, so where
-(d1 + s) * (1 + _TIE_RTOL) < d2 - s the nearest point is unique, lies
-outside every tie radius, and is the one match_brute returns: the row
-keeps its index without a query. Rows with d2 below 1e-150, where kd
-distances lose their relative accuracy, and every other row are queried
-again as above, ties included; the moving cloud's tree is built only
-when some target row needs it. Squared distances are recomputed for all
-rows, so a warm-started match carries the bits of a fresh one.
+keeps, for every row in each direction, its chosen index, the nearest
+and runner-up distances d1 and d2 it was last matched at, and s, the
+row's move since then: for a row of the moving cloud a bound on its
+Euclidean move, never below it even where the squares underflow, and
+for a row of the target the largest such move of any point. By the
+triangle inequality the chosen point is now at most d1 + s away and
+every other point at least d2 - s, so where (d1 + s) * (1 + _TIE_RTOL)
+< d2 - s and d2 >= 1e-150 the nearest point is unique, lies outside
+every tie radius, and is the one match_brute returns: the row keeps its
+index without any work.
+
+Every other row is rescored from its candidate list: the _TIE_K nearest
+targets of its last kd query, that query's _TIE_K-th kd distance r, and
+sl, the row's move since the query. No target outside the list was
+nearer than r then, r * (1 - _TIE_RTOL) allowing for kd rounding, so
+none is nearer than bound = r * (1 - _TIE_RTOL) - sl now. The list is
+scored exactly, in pair_sq's arithmetic; where its best distance d has
+d * (1 + _TIE_RTOL) < bound and bound >= 1e-150, so that outside points
+square to normal numbers and cannot tie with d by underflow, every
+exact minimizer is in the list and its lowest index is match_brute's.
+The row takes it, with d1 = d and d2 the lesser of the runner-up in the
+list and bound. Only rows whose list fails are queried again, at
+k = _TIE_K, which gives them a fresh list; a row that even a fresh list
+cannot settle (more than _TIE_K near-ties, or distances below 1e-150)
+goes through the k = 2 query and tie pass above. The moving cloud's
+tree is built only when some target row needs a query. Squared
+distances are recomputed for all rows, so a warm-started match carries
+the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -157,8 +171,8 @@ class _Matcher:
     """match_indexed for successive states of one cloud against one target.
 
     Built once per target, whose kd-tree it keeps. The first call queries
-    every row; each later call re-queries only the rows that _Rows.stale
-    finds may have changed their nearest point, and keeps the rest.
+    every row; each later call settles most rows without a query (see
+    _Rows.settle) and queries only the rest.
     """
 
     def __init__(self, target: PointCloud):
@@ -180,18 +194,17 @@ class _Matcher:
         if self._cloud is None:
             self._fwd, self._bwd = _Rows(len(A), not last), _Rows(len(T), not last)
         else:
-            # the L1 norm bounds the Euclidean move and cannot underflow; a
-            # target row's distances move by at most the largest move
-            move = np.abs(A - self._cloud).sum(axis=1)
-            self._fwd.s += move
-            self._bwd.s += move.max()
+            move = _move_bound(A, self._cloud)
+            self._fwd.moved(move)
+            # a target row's distances move by at most the largest move
+            self._bwd.moved(move.max())
         self._cloud = A
-        bwd_order = self._bwd.stale(self._target_order)
+        bwd_order = self._bwd.settle(T, A, self._target_order)
         tree = None
         if len(bwd_order):
             tree = _kd_tree(A)
             self._order = tree.indices
-        self._fwd.requery(self._tree, A, T, self._fwd.stale(self._order))
+        self._fwd.requery(self._tree, A, T, self._fwd.settle(A, T, self._order))
         fwd_idx = self._fwd.idx
         fwd_sq = pair_sq(A, T[fwd_idx])
         if last:
@@ -202,13 +215,27 @@ class _Matcher:
         return MatchResult(fwd_idx, fwd_sq, bwd_idx, pair_sq(T, A[bwd_idx]))
 
 
+def _move_bound(A: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """A bound on each row's Euclidean move from prev to A, never below it.
+
+    Rounding leaves the computed norm a few ulps below the true move, and
+    a square that underflows at most 3e-162 below it; the floor and the
+    factor cover both. The L1 norm, which cannot underflow, caps the
+    bound, so a row that did not move has moved 0.
+    """
+    euclid = np.sqrt(pair_sq(A, prev)) + 1e-160
+    return np.minimum(euclid, np.abs(A - prev).sum(axis=1)) * (1.0 + 1e-15)
+
+
 class _Rows:
     """One direction's record of its queries, one entry per query row.
 
     idx is the row's nearest target. Recorded for a later call: d1 and d2,
-    the kd nearest and runner-up distances of the row's last query, and
-    s, a bound on how far the row has moved since, relative to every
-    target.
+    the row's nearest and runner-up distances when it was last matched,
+    and s, a bound on how far the row has moved since, relative to every
+    target; cand, the _TIE_K candidates of its last kd query,
+    candidate-major, with r, that query's _TIE_K-th kd distance, and sl,
+    the row's move since that query.
     """
 
     def __init__(self, n: int, record: bool):
@@ -218,6 +245,29 @@ class _Rows:
             self.d1 = np.full(n, np.inf)  # never queried: stale, as inf < inf fails
             self.d2 = np.full(n, np.inf)
             self.s = np.zeros(n)
+            self.cand = np.zeros((_TIE_K, n), dtype=np.int64)
+            self.r = np.zeros(n)  # no list yet: r - sl is below 1e-150
+            self.sl = np.zeros(n)
+
+    def moved(self, move):
+        """Add move, per row or one bound for all, to the rows' moves."""
+        self.s += move
+        self.sl += move
+        # earlier results hold the old idx, so this call's changes go to a copy
+        self.idx = self.idx.copy()
+
+    def settle(self, Q, T, order):
+        """Settle the rows of Q in order that need no kd query against T;
+        return the rest, in order.
+
+        A row keeps idx where it cannot have changed (_Rows.stale) and is
+        rescored from its candidate list where the list is shown to hold
+        its nearest point (_Rows.rescore). Without a record no row is
+        settled.
+        """
+        if not self.record:
+            return order
+        return self.rescore(Q, T, self.stale(order))
 
     def stale(self, order: np.ndarray) -> np.ndarray:
         """The rows in order whose nearest target may differ from idx.
@@ -225,30 +275,74 @@ class _Rows:
         By the triangle inequality idx is now at most d1 + s away and every
         other target at least d2 - s, so a kept row's nearest target is
         unique, lies outside every tie radius and is match_brute's. Below
-        d2 = 1e-150 the kd distances lose their relative accuracy. Without
-        a record every row is stale.
+        d2 = 1e-150 distances lose their relative accuracy.
         """
-        if not self.record:
-            return order
         keep = (self.d1 + self.s) * (1.0 + _TIE_RTOL) < self.d2 - self.s
         keep &= self.d2 >= 1e-150
         return order[~keep[order]]
 
+    def rescore(self, Q, T, rows):
+        """Match the rows of Q listed in rows from their candidate lists;
+        return the rows whose list may miss their nearest point.
+
+        A target outside the list was at least r(1 - _TIE_RTOL) away at the
+        list's query, the margin covering kd rounding, and is now at least
+        bound = r(1 - _TIE_RTOL) - sl away. Where the list's best exact
+        distance d has d(1 + _TIE_RTOL) < bound, every exact minimizer is
+        in the list, which then gives match_brute's index, and bound caps
+        the runner-up distance d2. At or above 1e-150 outside squares are
+        normal numbers, so no outside point ties with d by underflow.
+        """
+        bound = self.r[rows] * (1.0 - _TIE_RTOL) - self.sl[rows]
+        ok = bound >= 1e-150
+        listed = np.flatnonzero(ok)
+        # in chunks, so that the (_TIE_K, rows) scratch stays a tie pass's size
+        for start in range(0, len(listed), _TIE_CHUNK_ROWS):
+            at = listed[start : start + _TIE_CHUNK_ROWS]
+            chunk, cap = rows[at], bound[at]
+            cand = self.cand[:, chunk]
+            best, sq = _nearest_candidates(Q[chunk], T, cand, cand < len(T))
+            low = np.sqrt(sq.min(axis=0))
+            # candidates are distinct, so the least of the others is the runner-up
+            sq[cand == best] = np.inf
+            runner = np.sqrt(sq.min(axis=0))
+            found = low * (1.0 + _TIE_RTOL) < cap
+            ok[at] = found
+            done = chunk[found]
+            self.idx[done] = best[found]
+            self.d1[done] = low[found]
+            self.d2[done] = np.minimum(runner[found], cap[found])
+            self.s[done] = 0.0
+        return rows[~ok]
+
     def requery(self, tree, Q, T, order):
         """Query the rows of Q listed in order against tree, built on T.
 
-        The order, a leaf order of Q's rows, changes the speed, never the
-        result.
+        A recording row takes a fresh list at k = _TIE_K and is rescored
+        from it; only rows whose list does not settle them (more than
+        _TIE_K near-ties, distances below 1e-150) and rows without a record
+        take a k = 2 query and the tie pass. The order, a leaf order of Q's
+        rows, changes the speed, never the result.
         """
         if not len(order):
             return
+        if self.idx is None:
+            self.idx = np.empty(len(Q), dtype=np.int64)
+        if self.record:
+            dist, cand = tree.query(Q[order], k=_TIE_K)
+            self.cand[:, order] = cand.T
+            # a target of fewer than _TIE_K points pads the list with index
+            # len(T) at distance inf: the list holds every target
+            self.r[order] = dist[:, -1]
+            self.sl[order] = 0.0
+            del dist, cand
+            order = self.rescore(Q, T, order)
+            if not len(order):
+                return
         # a one-point target reports its missing runner-up at distance inf,
         # so none of its rows reads as tied
         dist, idx = tree.query(Q[order], k=2)
-        # earlier results hold the old idx, so the rows go to a copy
-        best = np.empty(len(Q), dtype=np.int64) if self.idx is None else self.idx.copy()
-        best[order] = idx[:, 0]
-        self.idx = best
+        self.idx[order] = idx[:, 0]
         if self.record:
             self.d1[order], self.d2[order] = dist.T
             self.s[order] = 0.0
@@ -259,6 +353,27 @@ class _Rows:
         del dist, idx
         if len(ambiguous):
             _resolve_ties(tree, Q, T, order[ambiguous], radii[ambiguous], self.idx, _TIE_K)
+
+
+def _nearest_candidates(q, T, cand, valid):
+    """The lowest index among each row's exact nearest candidates.
+
+    cand is (k, len(q)), candidate-major, so that the reductions over
+    candidates run along contiguous rows; only those marked valid count.
+    Returns the indices and the (k, len(q)) squared distances, summed one
+    coordinate at a time in pair_sq's order, so with its bits; invalid
+    candidates score inf.
+    """
+    j = np.minimum(cand, len(T) - 1, order="C")
+    sq = q[:, 0] - T[:, 0][j]
+    sq *= sq
+    for c in (1, 2):
+        d = q[:, c] - T[:, c][j]
+        d *= d
+        sq += d
+    sq[~valid] = np.inf
+    j[sq != sq.min(axis=0)] = len(T)
+    return j.min(axis=0), sq
 
 
 def _resolve_ties(tree, Q, T, queries, radii, best, k):
@@ -285,22 +400,10 @@ def _resolve_ties(tree, Q, T, queries, radii, best, k):
         bound = max(float(r.max()) * (1.0 + _TIE_RTOL), 1e-150)
         q = Q[rows]
         dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
-        # scored candidate-major, (k, rows), one coordinate at a time in
-        # pair_sq's order, so that the reductions over candidates run along
-        # contiguous rows; candidates beyond the bound come back as index
-        # len(T)
-        j = np.minimum(idx.T, len(T) - 1, order="C")
-        sq = q[:, 0] - T[:, 0][j]
-        sq *= sq
-        for c in (1, 2):
-            d = q[:, c] - T[:, c][j]
-            d *= d
-            sq += d
+        # candidates beyond the bound come back as index len(T); every
+        # exact minimizer is inside the radius, where they all are real
         inside = np.less_equal(dist.T, r, order="C")
-        sq[~inside] = np.inf
-        # every exact minimizer is inside the radius, where j equals idx
-        j[sq != sq.min(axis=0)] = len(T)
-        best[rows] = j.min(axis=0)
+        best[rows] = _nearest_candidates(q, T, idx.T, inside)[0]
         spill = inside[-1]
         if k < len(T) and spill.any():
             count = tree.query_ball_point(q[spill], r[spill], return_length=True)

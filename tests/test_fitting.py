@@ -233,11 +233,42 @@ class TestMatchingAcrossEpochs:
         for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
             assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
 
+    def test_moving_tree_built_at_few_states(self, monkeypatch):
+        # a stale row is rescored from its list of _TIE_K kd candidates, so
+        # kd queries, and the moving cloud's tree, are needed only where a
+        # list runs out: here only at epoch 0, where every row is queried
+        built, queried = [], []
+        real = scipy.spatial.cKDTree
+
+        class Counting(real):
+            def __init__(self, data, *args, **kwargs):
+                built.append(len(data))
+                super().__init__(data, *args, **kwargs)
+
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
+        noisy, clean = jittered_sphere(n=256)
+        fit(noisy, clean, FitConfig(spec=HYPER, learning_rate=0.05, epochs=20))
+        assert len(built) <= 4  # the target's tree and the moving cloud's, of 21 states
+        assert sum(queried) <= 2 * 256 + 25
+
     @seed(20261025)
-    @settings(max_examples=120, deadline=5000, database=None)
+    @settings(max_examples=160, deadline=5000, database=None)
     @given(
         st.sampled_from(
-            ["uniform", "duplicated", "shifted grid", "one-point target", "one-point cloud"]
+            [
+                "uniform",
+                "duplicated",
+                "shifted grid",
+                "shifted lattice",
+                "8 copies",
+                "one-point target",
+                "few-point target",
+                "one-point cloud",
+            ]
         ),
         st.sampled_from([0.0, 1e-6, 0.5, 2.0]),
         st.sampled_from([1e-155, 1.0, 1e149]),
@@ -247,8 +278,12 @@ class TestMatchingAcrossEpochs:
     )
     def test_every_epoch_equals_brute(self, layout, lr, scale, spec, epochs, cloud_seed):
         # duplicated targets and the half-spacing grid shift tie, so those
-        # rows are never kept; one-point clouds have no runner-up (d2 = inf);
-        # at 1e-155 every d2 is below the 1e-150 floor
+        # rows are never kept; the lattice's cell centres and 8 copies of a
+        # point tie with more targets than a candidate list holds; targets
+        # of fewer than _TIE_K points pad every list; one-point clouds have
+        # no runner-up (d2 = inf); at 1e-155 every d2 is below the 1e-150
+        # floor. Snapshots are compared after the run, so a later epoch
+        # must also have left every earlier one as it was returned.
         rng = np.random.default_rng(cloud_seed)
         n, m = (int(k) for k in rng.integers(1, 80, 2))
         initial, target = rng.uniform(0.0, 1.0, (n, 3)), rng.uniform(0.0, 1.0, (m, 3))
@@ -258,8 +293,18 @@ class TestMatchingAcrossEpochs:
         elif layout == "shifted grid":
             target = gen_shape("plane-grid", 64, seed=0).points
             initial = target + [0.5 / 7, 0.5 / 7, 0.0]
+        elif layout == "shifted lattice":
+            axis = np.arange(4.0) / 4.0
+            target = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+            initial = target + 0.125
+        elif layout == "8 copies":
+            base = target[: m // 8 + 1]
+            target = np.repeat(base, 8, axis=0)[rng.permutation(8 * len(base))]
+            initial = np.vstack([initial, base])
         elif layout == "one-point target":
             target = target[:1]
+        elif layout == "few-point target":
+            target = target[: rng.integers(1, 5)]
         elif layout == "one-point cloud":
             initial = initial[:1]
         initial, target = PointCloud(initial * scale), PointCloud(target * scale)

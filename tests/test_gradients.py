@@ -11,6 +11,7 @@ from chamferkit import (
     chamfer,
     chamfer_gradient,
     finite_diff_gradient,
+    match_brute,
     transform,
     transform_derivative,
     weight_z,
@@ -297,6 +298,25 @@ class TestChamferGradient:
         assert not is_smooth_config(a, b)
         b_clear = PointCloud([[0.0, 0, 0], [2.1, 0, 0]])
         assert is_smooth_config(a, b_clear)
+
+    def test_backward_scatter_bits_equal_2d_add_at(self):
+        # 300 target rows share 7 movable points, so each gradient element
+        # takes many backward terms; a scatter per coordinate must add them
+        # in the order one 2-D np.add.at over the rows does
+        rng = np.random.default_rng(50)
+        a, b = uniform_cloud(rng, 7), uniform_cloud(rng, 300)
+        match = match_brute(a, b)
+        assert np.bincount(match.bwd_idx).max() > 1
+        A, B = a.points, b.points
+        d_f, d_b = np.sqrt(match.fwd_sq), np.sqrt(match.bwd_sq)
+        for spec in (TransformSpec("l2"), TransformSpec("hyper", 1.0, 2.0), TransformSpec("l1")):
+            coef_f = np.where(d_f > 0, transform_derivative(spec, d_f) / d_f, 0.0) / len(A)
+            coef_b = np.where(d_b > 0, transform_derivative(spec, d_b) / d_b, 0.0) / len(B)
+            expected = np.zeros_like(A)
+            expected += coef_f[:, None] * (A - B[match.fwd_idx])
+            np.add.at(expected, match.bwd_idx, coef_b[:, None] * (A[match.bwd_idx] - B))
+            got = chamfer_gradient(a, b, spec, match=match).vectors
+            assert got.tobytes() == expected.tobytes()
 
     def test_fd_step_validation(self):
         a = PointCloud([[0, 0, 0]])

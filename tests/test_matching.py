@@ -371,33 +371,86 @@ class TestIndexedEqualsBruteProperty:
 
 class TestMatcherAcrossCalls:
     @seed(20261026)
-    @settings(max_examples=100, deadline=5000, database=None)
+    @settings(max_examples=160, deadline=5000, database=None)
     @given(
+        st.sampled_from(["uniform", "shifted lattice", "8 copies", "few points"]),
         st.sampled_from(["translate", "walk", "one point"]),
-        st.sampled_from([1e-3, 1e-2, 1e-1]),
-        st.sampled_from([1e-155, 1.0, 1e149]),
+        st.sampled_from([1e-11, 1e-3, 1e-2, 1e-1]),
+        st.sampled_from([1e-160, 1e-155, 1e-149, 1.0, 1e149]),
         st.integers(1, 8),
         st.integers(0, 2**32 - 1),
     )
-    def test_each_call_equals_brute(self, motion, step, scale, calls, cloud_seed):
-        # axis-aligned translation and a single moving point make the keep
-        # rule's move bounds tight: the L1 move equals the Euclidean one in
-        # the first, and the largest move is the only move in the second
+    def test_each_call_equals_brute(self, layout, motion, step, scale, calls, cloud_seed):
+        # axis-aligned translation and a single moving point make the move
+        # bounds tight: the L1 move equals the Euclidean one in the first,
+        # and the largest move is the only move in the second. Cell centres
+        # of the lattice tie with 8 corners and queries at a point copied 8
+        # times tie with every copy, more than a candidate list holds; a
+        # target of fewer than _TIE_K points pads every list; at 1e-149 a
+        # step of 1e-11 moves a point by about 1e-160, whose square
+        # underflows; at 1e-160 most squared distances round to 0 and tie
         rng = np.random.default_rng(cloud_seed)
         n, m = (int(k) for k in rng.integers(1, 120, 2))
-        target = PointCloud(rng.uniform(0.0, 1.0, (m, 3)) * scale)
         points = rng.uniform(0.0, 1.0, (n, 3))
+        if layout == "uniform":
+            target = rng.uniform(0.0, 1.0, (m, 3))
+        elif layout == "shifted lattice":
+            axis = np.arange(4.0) / 4.0
+            target = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+            points = target[rng.permutation(len(target))] + 0.125
+        elif layout == "8 copies":
+            base = rng.uniform(0.0, 1.0, (m // 8 + 1, 3))
+            target = np.repeat(base, 8, axis=0)[rng.permutation(8 * len(base))]
+            points = np.vstack([base, points])
+        else:
+            target = rng.uniform(0.0, 1.0, (int(rng.integers(1, _TIE_K)), 3))
+        target = PointCloud(target * scale)
         matcher = matching._Matcher(target)
+        returned = []
         for _ in range(calls):
             cloud = PointCloud(points * scale)
-            assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
+            expected = match_brute(cloud, target)
+            returned.append((matcher.match(cloud), expected))
+            assert_matches_equal(*returned[-1])
             if motion == "translate":
                 points = points + np.eye(3)[rng.integers(3)] * step
             elif motion == "walk":
                 points = points + rng.uniform(-step, step, points.shape)
             else:
                 points = points.copy()
-                points[rng.integers(n)] += rng.uniform(-step, step, 3)
+                points[rng.integers(len(points))] += rng.uniform(-step, step, 3)
+        # a later call must not change what an earlier one returned
+        for got, expected in returned:
+            assert_matches_equal(got, expected)
+
+    def test_rescoring_in_several_chunks(self, monkeypatch):
+        # 7 rows per chunk, so the lists of 300 walking points are rescored
+        # over many chunks; every 5th point jumps past its list's radius, so
+        # the rows a chunk scores are not a contiguous run of the stale ones
+        monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(27)
+        target = uniform_cloud(rng, 250)
+        points = rng.uniform(0.0, 1.0, (300, 3))
+        step = np.where(np.arange(300) % 5 == 0, 0.3, 0.02)[:, None]
+        matcher = matching._Matcher(target)
+        for _ in range(6):
+            cloud = PointCloud(points)
+            assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
+            points = points + rng.uniform(-1.0, 1.0, points.shape) * step
+
+    def test_runner_up_capped_by_list_radius(self):
+        # the point's list holds its 5 nearest targets, one ahead at 0.35 and
+        # four behind, out to r = 0.4; the 6th target lies ahead at 0.401.
+        # After a step of 0.2 the list still settles the point, but its
+        # runner-up in the list is 0.56 away while the 6th target may be only
+        # r - 0.2 away, so the point may not keep its match through the next
+        # step of 0.2, which takes it past the 6th target
+        target = PointCloud([[x, 0.0, 0.0] for x in (0.35, -0.36, -0.37, -0.38, -0.4, 0.401)])
+        matcher = matching._Matcher(target)
+        for x in (0.0, 0.2, 0.4):
+            cloud = PointCloud([[x, 0.0, 0.0]])
+            assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
+        assert matcher.match(cloud).fwd_idx.tolist() == [5]
 
 
 class TestCoordinateRange:
