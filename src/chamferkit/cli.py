@@ -71,9 +71,9 @@ def cmd_curves(args) -> int:
     if args.kinds is None and args.alphas is None and args.betas is None:
         specs = default_curve_specs()
     else:
-        kinds = (args.kinds or "hyper").split(",")
-        alphas = _parse_list(args.alphas or "1", "--alphas")
-        betas = _parse_list(args.betas or "2", "--betas")
+        kinds = _parse_list("hyper" if args.kinds is None else args.kinds, "--kinds", str.strip)
+        alphas = _parse_list("1" if args.alphas is None else args.alphas, "--alphas")
+        betas = _parse_list("2" if args.betas is None else args.betas, "--betas")
         specs = []
         for kind in kinds:
             for alpha in alphas:
@@ -191,7 +191,7 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     report = bench_mod.run_bench(
         sizes=_parse_list(args.sizes, "--sizes", int),
-        kinds=tuple(args.kinds.split(",")),
+        kinds=tuple(_parse_list(args.kinds, "--kinds", str.strip)),
         repeats=args.repeats,
         warmup=args.warmup,
         seed=_seed(args),

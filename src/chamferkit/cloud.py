@@ -197,8 +197,8 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
 
 def jitter_cloud(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
     """Add isotropic Gaussian noise with standard deviation sigma per axis."""
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
     rng = np.random.default_rng(seed)
     return PointCloud(cloud.points + rng.normal(0.0, sigma, size=cloud.points.shape))
 
@@ -215,8 +215,8 @@ def displace_outliers(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    if distance <= 0:
-        raise ValueError("distance must be positive")
+    if not 0 < distance < np.inf:  # NaN fails too
+        raise ValueError(f"distance must be positive and finite, got {distance!r}")
     n = len(cloud)
     count = max(1, round(fraction * n))
     rng = np.random.default_rng(seed)

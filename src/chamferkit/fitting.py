@@ -71,17 +71,11 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
 
     Matches and scores each of the states 0..epochs; every state but the
     last then takes the update movable -= lr * grad. One matcher serves
-    the whole run and builds the target's kd-tree once (see
-    chamferkit.matching). A row keeps its match where the triangle
-    inequality proves it unique and outside every tie radius. Any other
-    row is rescored exactly from its list, the 5 nearest points of its
-    last kd query, while its moves since that query cannot have brought
-    a point outside the list as near as the best in it. Only rows whose
-    list fails are queried again, and the moving cloud's tree is built
-    only when a target row needs a query. So every match equals
-    match_indexed's, bit for bit. Raises
-    DivergenceError the moment the loss leaves the finite range or any
-    coordinate leaves PointCloud's range |x| <= MAX_ABS_COORD.
+    the whole run: it builds the target's kd-tree once and re-queries
+    only the rows it cannot settle from earlier states, by the rules in
+    chamferkit.matching, so every match equals match_indexed's, bit for
+    bit. Raises DivergenceError the moment the loss leaves the finite
+    range or any coordinate leaves PointCloud's range |x| <= MAX_ABS_COORD.
     Deterministic: same inputs, same trajectory.
     """
     wanted = set(config.snapshot_epochs)

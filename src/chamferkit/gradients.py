@@ -3,8 +3,7 @@
 The set distance is piecewise smooth: wherever no matched pair sits at
 zero distance and no match is tied, the correspondence is locally
 constant and the gradient is the fixed-match derivative computed here.
-finite_diff_gradient and is_smooth_config exist to check and guard that
-regime.
+finite_diff_gradient exists to check that regime.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, pair_sq
+from .cloud import PointCloud
 from .distances import TransformSpec, chamfer, transform, transform_derivative
 from .matching import MatchResult, match_brute, match_indexed
 
@@ -73,8 +72,8 @@ def finite_diff_gradient(
     sees the true loss landscape rather than a fixed correspondence.
     O(n * m * n) and meant for tests, not training loops.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0 < h < np.inf:  # NaN fails too
+        raise ValueError(f"step h must be positive and finite, got {h!r}")
     base = movable.points
 
     def value(pts: np.ndarray) -> float:
@@ -91,33 +90,6 @@ def finite_diff_gradient(
             lo = value(pts)
             g[i, c] = (hi - lo) / (2.0 * h)
     return GradientField(g, value(base))
-
-
-def is_smooth_config(
-    movable: PointCloud,
-    target: PointCloud,
-    distance_eps: float = 1e-6,
-    tie_eps: float = 1e-6,
-) -> bool:
-    """True when every match clears distance_eps and no match is near-tied.
-
-    On such configurations the correspondence is locally constant, so the
-    fixed-match analytic gradient and finite differences agree; near a
-    zero-distance pair or a tie the loss is non-differentiable and any
-    comparison between the two is moot.
-    """
-    A, B = movable.points, target.points
-    dm = np.sqrt(pair_sq(A[:, None, :], B[None, :, :]))
-    for axis in (1, 0):
-        ordered = np.sort(dm, axis=axis)
-        nearest = ordered.take(0, axis=axis)
-        if (nearest <= distance_eps).any():
-            return False
-        if dm.shape[axis] > 1:
-            runner_up = ordered.take(1, axis=axis)
-            if (runner_up - nearest <= tie_eps).any():
-                return False
-    return True
 
 
 @dataclass(frozen=True)

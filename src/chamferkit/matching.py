@@ -42,13 +42,13 @@ d * (1 + _TIE_RTOL) < bound and bound >= 1e-150, so that outside points
 square to normal numbers and cannot tie with d by underflow, every
 exact minimizer is in the list and its lowest index is match_brute's.
 The row takes it, with d1 = d and d2 the lesser of the runner-up in the
-list and bound. Only rows whose list fails are queried again, at
-k = _TIE_K, which gives them a fresh list; a row that even a fresh list
+list and bound. Only rows whose list fails are queried again, once, at
+k = _TIE_K: the query gives a row its fresh list, its kd nearest and
+d1 and d2. A tied row is rescored from that list, and one the list
 cannot settle (more than _TIE_K near-ties, or distances below 1e-150)
-goes through the k = 2 query and tie pass above. The moving cloud's
-tree is built only when some target row needs a query. Squared
-distances are recomputed for all rows, so a warm-started match carries
-the bits of a fresh one.
+goes through the tie pass above. The moving cloud's tree is built only
+when some target row needs a query. Squared distances are recomputed
+for all rows, so a warm-started match carries the bits of a fresh one.
 """
 
 from __future__ import annotations
@@ -267,7 +267,8 @@ class _Rows:
         """
         if not self.record:
             return order
-        return self.rescore(Q, T, self.stale(order))
+        rows = self.stale(order)
+        return rows[~self.rescore(Q, T, rows)]
 
     def stale(self, order: np.ndarray) -> np.ndarray:
         """The rows in order whose nearest target may differ from idx.
@@ -283,7 +284,7 @@ class _Rows:
 
     def rescore(self, Q, T, rows):
         """Match the rows of Q listed in rows from their candidate lists;
-        return the rows whose list may miss their nearest point.
+        return a mask over rows of those the lists settled.
 
         A target outside the list was at least r(1 - _TIE_RTOL) away at the
         list's query, the margin covering kd rounding, and is now at least
@@ -313,43 +314,38 @@ class _Rows:
             self.d1[done] = low[found]
             self.d2[done] = np.minimum(runner[found], cap[found])
             self.s[done] = 0.0
-        return rows[~ok]
+        return ok
 
     def requery(self, tree, Q, T, order):
         """Query the rows of Q listed in order against tree, built on T.
 
-        A recording row takes a fresh list at k = _TIE_K and is rescored
-        from it; only rows whose list does not settle them (more than
-        _TIE_K near-ties, distances below 1e-150) and rows without a record
-        take a k = 2 query and the tie pass. The order, a leaf order of Q's
-        rows, changes the speed, never the result.
+        Each row takes one kd query and its kd nearest: at k = _TIE_K with a
+        record, which keeps the query as the row's list, else at k = 2. Tied
+        rows are rescored from the list just fetched where there is one; the
+        rest go through the tie pass. The order, a leaf order of Q's rows,
+        changes the speed, never the result.
         """
         if not len(order):
             return
         if self.idx is None:
             self.idx = np.empty(len(Q), dtype=np.int64)
-        if self.record:
-            dist, cand = tree.query(Q[order], k=_TIE_K)
-            self.cand[:, order] = cand.T
-            # a target of fewer than _TIE_K points pads the list with index
-            # len(T) at distance inf: the list holds every target
-            self.r[order] = dist[:, -1]
-            self.sl[order] = 0.0
-            del dist, cand
-            order = self.rescore(Q, T, order)
-            if not len(order):
-                return
         # a one-point target reports its missing runner-up at distance inf,
-        # so none of its rows reads as tied
-        dist, idx = tree.query(Q[order], k=2)
+        # so none of its rows reads as tied; a target of fewer than _TIE_K
+        # points pads a list with index len(T) at distance inf, so the list
+        # holds every target
+        dist, idx = tree.query(Q[order], k=_TIE_K if self.record else 2)
         self.idx[order] = idx[:, 0]
-        if self.record:
-            self.d1[order], self.d2[order] = dist.T
-            self.s[order] = 0.0
         # a runner-up inside the tie radius marks an exact tie or a near-tie the
         # tree may have ordered by its own rounding; 1e-9 is far above kd error
         radii = dist[:, 0] * (1.0 + _TIE_RTOL)
         ambiguous = np.flatnonzero(dist[:, 1] <= radii)
+        if self.record:
+            self.cand[:, order] = idx.T
+            self.r[order] = dist[:, -1]
+            self.sl[order] = 0.0
+            self.d1[order], self.d2[order] = dist[:, :2].T
+            self.s[order] = 0.0
+            ambiguous = ambiguous[~self.rescore(Q, T, order[ambiguous])]
         del dist, idx
         if len(ambiguous):
             _resolve_ties(tree, Q, T, order[ambiguous], radii[ambiguous], self.idx, _TIE_K)

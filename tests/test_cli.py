@@ -200,6 +200,18 @@ class TestCurves:
         capsys.readouterr()
         assert main(["curves", "--alphas", ",", "--out", out]) == 2
         assert capsys.readouterr().err == "error: --alphas expects at least one value\n"
+        # an empty list is an error, not the default grid
+        for flag in ("--kinds", "--alphas", "--betas"):
+            assert main(["curves", f"{flag}=", "--out", out]) == 2
+            assert capsys.readouterr().err == f"error: {flag} expects at least one value\n"
+
+    def test_kinds_parse_like_the_number_lists(self, tmp_path, capsys):
+        # a trailing comma is dropped from --kinds as from --alphas
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        args = ["--dmax", "1", "--steps", "3"]
+        assert main(["curves", "--kinds=l2,", "--alphas=1,", *args, "--out", str(outs[0])]) == 0
+        assert main(["curves", "--kinds=l2", "--alphas=1", *args, "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_small_grid_bytes(self, tmp_path, capsys, normalize):
@@ -630,6 +642,12 @@ class TestBench:
 
     def test_unknown_bench_kind_is_data_error(self, capsys):
         assert main(["bench", "--sizes", "32", "--kinds", "l3", "--repeats", "3"]) == 2
+
+    def test_kinds_parse_like_sizes(self, capsys):
+        assert main(["bench", "--sizes=8,", "--kinds=l2,", "--repeats", "3"]) == 0
+        assert "l2" in capsys.readouterr().out
+        assert main(["bench", "--sizes", "8", "--kinds=", "--repeats", "3"]) == 2
+        assert capsys.readouterr().err == "error: --kinds expects at least one value\n"
 
 
 class TestTopLevel:

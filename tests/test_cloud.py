@@ -229,8 +229,9 @@ class TestJitterAndOutliers:
 
     def test_jitter_rejects_negative_sigma(self):
         c = gen_shape("sphere-surface", 8, seed=0)
-        with pytest.raises(ValueError, match="sigma"):
-            jitter_cloud(c, -1.0, seed=3)
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                jitter_cloud(c, sigma, seed=3)
 
     def test_displace_outliers_count_and_distance(self):
         c = gen_shape("sphere-surface", 128, seed=1)
@@ -245,5 +246,6 @@ class TestJitterAndOutliers:
         c = gen_shape("sphere-surface", 16, seed=1)
         with pytest.raises(ValueError):
             displace_outliers(c, 0.0, 1.0, seed=0)
-        with pytest.raises(ValueError):
-            displace_outliers(c, 0.5, -1.0, seed=0)
+        for distance in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="distance"):
+                displace_outliers(c, 0.5, distance, seed=0)

@@ -24,6 +24,7 @@ from chamferkit import fitting
 from chamferkit.cli import main
 from chamferkit.fitting import sweep_alpha_lr
 from chamferkit.gradients import GradientField
+from chamferkit.matching import _TIE_K, _Matcher
 
 from testutil import uniform_cloud
 
@@ -254,6 +255,39 @@ class TestMatchingAcrossEpochs:
         fit(noisy, clean, FitConfig(spec=HYPER, learning_rate=0.05, epochs=20))
         assert len(built) <= 4  # the target's tree and the moving cloud's, of 21 states
         assert sum(queried) <= 2 * 256 + 25
+
+    @pytest.mark.parametrize("layout", ["8 copies", "1e-155"])
+    def test_requery_queries_each_row_once(self, monkeypatch, layout):
+        # a re-queried row takes one kd query, at k = _TIE_K, whose list
+        # settles its tie where it can; no row takes a second, k = 2, query
+        # where more than _TIE_K points tie or distances are below 1e-150.
+        # Only the tie pass's bounded queries come on top.
+        ks = []
+        real = scipy.spatial.cKDTree
+
+        class Counting(real):
+            def query(self, x, k=1, *args, **kwargs):
+                if "distance_upper_bound" not in kwargs:
+                    ks.append(k)
+                return super().query(x, k, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
+        rng = np.random.default_rng(20261019)
+        base = rng.uniform(0.0, 1.0, (40, 3))
+        cloud = np.vstack([rng.uniform(0.0, 1.0, (120, 3)), base])
+        if layout == "8 copies":
+            scale, target = 1.0, np.repeat(base, 8, axis=0)[rng.permutation(320)]
+        else:
+            scale, target = 1e-155, rng.uniform(0.0, 1.0, (160, 3))
+        target = PointCloud(target * scale)
+        matcher = _Matcher(target)
+        for _ in range(4):
+            state = PointCloud(cloud * scale)
+            got, expected = matcher.match(state), match_brute(state, target)
+            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+                assert getattr(got, f).tobytes() == getattr(expected, f).tobytes()
+            cloud[:120] += rng.normal(0.0, 1e-3, (120, 3))
+        assert ks and set(ks) == {_TIE_K}
 
     @seed(20261025)
     @settings(max_examples=160, deadline=5000, database=None)

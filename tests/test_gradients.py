@@ -17,9 +17,9 @@ from chamferkit import (
     weight_z,
 )
 from chamferkit.cli import main
-from chamferkit.gradients import default_curve_specs, is_smooth_config, sample_curves
+from chamferkit.gradients import default_curve_specs, sample_curves
 
-from testutil import max_rel_coord_err, smooth_pair, uniform_cloud
+from testutil import is_smooth_config, max_rel_coord_err, smooth_pair, uniform_cloud
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -320,8 +320,9 @@ class TestChamferGradient:
 
     def test_fd_step_validation(self):
         a = PointCloud([[0, 0, 0]])
-        with pytest.raises(ValueError):
-            finite_diff_gradient(a, a, TransformSpec("l2"), h=0.0)
+        for h in (0.0, -1e-5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step h"):
+                finite_diff_gradient(a, a, TransformSpec("l2"), h=h)
 
     def test_descent_direction(self):
         # a small step along -grad must reduce the loss on a smooth config

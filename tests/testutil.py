@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chamferkit import PointCloud, transform
-from chamferkit.gradients import is_smooth_config
+from chamferkit import PointCloud, pair_sq, transform
 
 
 def uniform_cloud(rng, n, scale=1.0, offset=0.0):
@@ -70,6 +69,33 @@ def sorted_nearest(a: PointCloud, b: PointCloud):
         order = sorted(range(len(b)), key=lambda k: (dm[j, k], k))
         idx.append(order[0])
     return np.array(idx)
+
+
+def is_smooth_config(
+    movable: PointCloud,
+    target: PointCloud,
+    distance_eps: float = 1e-6,
+    tie_eps: float = 1e-6,
+) -> bool:
+    """True when every match clears distance_eps and no match is near-tied.
+
+    On such configurations the correspondence is locally constant, so the
+    fixed-match analytic gradient and finite differences agree; near a
+    zero-distance pair or a tie the loss is non-differentiable and any
+    comparison between the two is moot.
+    """
+    A, B = movable.points, target.points
+    dm = np.sqrt(pair_sq(A[:, None, :], B[None, :, :]))
+    for axis in (1, 0):
+        ordered = np.sort(dm, axis=axis)
+        nearest = ordered.take(0, axis=axis)
+        if (nearest <= distance_eps).any():
+            return False
+        if dm.shape[axis] > 1:
+            runner_up = ordered.take(1, axis=axis)
+            if (runner_up - nearest <= tie_eps).any():
+                return False
+    return True
 
 
 def smooth_pair(rng, min_pts=8, max_pts=256):
