@@ -49,18 +49,24 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _scale_display(args) -> float:
+    if not 0 < args.scale_display < np.inf:  # NaN fails too
+        raise ValueError(f"--scale-display must be positive and finite, got {args.scale_display}")
+    return args.scale_display
+
+
 def _spec_from_args(args) -> TransformSpec:
     return TransformSpec(args.kind, alpha=args.alpha, beta=args.beta)
 
 
 def cmd_distance(args) -> int:
+    s = _scale_display(args)
     a = read_cloud(args.file_a, args.format)
     b = read_cloud(args.file_b, args.format)
     if args.kind == "poincare":
         report = chamfer_poincare(a, b)
     else:
         report = chamfer(a, b, _spec_from_args(args))
-    s = args.scale_display
     print(f"value={report.value * s!r}")
     print(f"d1={report.d1 * s!r}")
     print(f"d2={report.d2 * s!r}")
@@ -156,12 +162,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    s = _scale_display(args)
     pred = read_cloud(args.file_pred, args.format)
     gt = read_cloud(args.file_gt, args.format)
     report = evaluate(
         pred, gt, threshold_mode=args.threshold_mode, threshold=args.threshold
     )
-    s = args.scale_display
     for key, value in report.to_dict().items():
         scaled = value * s if key in ("cd_l1", "cd_l2") else value
         print(f"{key}={scaled!r}")

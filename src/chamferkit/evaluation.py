@@ -39,8 +39,8 @@ def fscore(
     strictly closer than the threshold; recall the same for b against a.
     Returns 0 when both are 0. Ranges over [0, 1], higher is better.
     """
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < np.inf:  # NaN fails too
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     if match is None:
         match = match_indexed(a, b)
     precision = float(np.mean(np.sqrt(match.fwd_sq) < threshold))
@@ -79,13 +79,15 @@ def evaluate(
         raise ValueError(
             f"unknown threshold_mode {threshold_mode!r}, expected one of {THRESHOLD_MODES}"
         )
-    if not threshold > 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < np.inf:  # NaN fails too
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     if threshold_mode == "percent":
         diag = bounding_box(gt).diagonal
         if diag <= 0:
             raise ValueError("ground-truth bounding box is degenerate; use an absolute threshold")
         resolved = threshold / 100.0 * diag
+        if resolved == np.inf:
+            raise ValueError(f"threshold {threshold} percent of the diagonal {diag} overflows")
     else:
         resolved = threshold
     match = match_indexed(pred, gt)

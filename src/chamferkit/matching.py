@@ -17,7 +17,11 @@ tied rows, bounded by the chunk's largest tie radius, with the exact
 minimum taken over all candidates at once. Rows whose k-th candidate
 still lies inside the tie radius, where more candidates may tie beyond
 it, go through the same pass again with a larger k, sized from a count
-of the targets inside that radius.
+of the targets inside that radius. Ties cluster in leaf order, so after
+a chunk of rows more than half tied the next chunk takes that query
+directly, bounded by the chunk's largest tie radius; a row whose own
+radius, with the margin, lies inside the bound had every candidate
+within it fetched and is settled from them.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
 through one private matcher. It builds the target's tree once and
@@ -150,7 +154,10 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     The index does not promise any tie order, so queries whose two
     nearest distances are not clearly separated are re-resolved exactly:
     in bulk from their _TIE_K nearest candidates, and again from more
-    candidates for rows where even the last one fetched is tied. All
+    candidates for rows where even the last one fetched is tied. A
+    leaf-order chunk after a mostly tied one is fetched at _TIE_K within
+    that chunk's largest tie radius, which settles each row whose own
+    radius fits the bound, as its tied candidates were all fetched. All
     squared distances are recomputed from the chosen indices with the
     canonical arithmetic.
     """
@@ -192,7 +199,7 @@ class _Matcher:
         """
         A, T = cloud.points, self._target
         if self._cloud is None:
-            self._fwd, self._bwd = _Rows(len(A), not last), _Rows(len(T), not last)
+            self._fwd, self._bwd = _Rows(len(A), len(T), not last), _Rows(len(T), len(A), not last)
         else:
             move = _move_bound(A, self._cloud)
             self._fwd.moved(move)
@@ -238,14 +245,15 @@ class _Rows:
     the row's move since that query.
     """
 
-    def __init__(self, n: int, record: bool):
+    def __init__(self, n: int, m: int, record: bool):
         self.idx = None  # set by the first query, which takes every row
         self.record = record
         if record:
             self.d1 = np.full(n, np.inf)  # never queried: stale, as inf < inf fails
             self.d2 = np.full(n, np.inf)
             self.s = np.zeros(n)
-            self.cand = np.zeros((_TIE_K, n), dtype=np.int64)
+            # int32 holds the index of each of m targets and the padding index m
+            self.cand = np.zeros((_TIE_K, n), dtype=np.int32 if m < 2**31 else np.int64)
             self.r = np.zeros(n)  # no list yet: r - sl is below 1e-150
             self.sl = np.zeros(n)
 
@@ -319,36 +327,53 @@ class _Rows:
     def requery(self, tree, Q, T, order):
         """Query the rows of Q listed in order against tree, built on T.
 
-        Each row takes one kd query and its kd nearest: at k = _TIE_K with a
-        record, which keeps the query as the row's list, else at k = 2. Tied
-        rows are rescored from the list just fetched where there is one; the
-        rest go through the tie pass. The order, a leaf order of Q's rows,
-        changes the speed, never the result.
+        Each row takes one kd query and its kd nearest. With a record, all
+        rows at once at k = _TIE_K, kept as their lists, from which tied
+        rows are rescored. Without one, at k = 2 in spans that start at
+        _TIE_CHUNK_ROWS and double while untied, but a chunk after one more
+        than half tied takes the tie pass's k = _TIE_K query instead,
+        bounded by that chunk's largest tie radius; a row whose own radius,
+        with the margin, is inside the bound has all its candidates within
+        it fetched and is settled (_fetch_ties). Rows still tied go through
+        the tie pass. The order, a leaf order of Q's rows, changes the
+        speed, never the result.
         """
         if not len(order):
             return
         if self.idx is None:
             self.idx = np.empty(len(Q), dtype=np.int64)
-        # a one-point target reports its missing runner-up at distance inf,
-        # so none of its rows reads as tied; a target of fewer than _TIE_K
-        # points pads a list with index len(T) at distance inf, so the list
-        # holds every target
-        dist, idx = tree.query(Q[order], k=_TIE_K if self.record else 2)
-        self.idx[order] = idx[:, 0]
-        # a runner-up inside the tie radius marks an exact tie or a near-tie the
-        # tree may have ordered by its own rounding; 1e-9 is far above kd error
-        radii = dist[:, 0] * (1.0 + _TIE_RTOL)
-        ambiguous = np.flatnonzero(dist[:, 1] <= radii)
-        if self.record:
-            self.cand[:, order] = idx.T
-            self.r[order] = dist[:, -1]
-            self.sl[order] = 0.0
-            self.d1[order], self.d2[order] = dist[:, :2].T
-            self.s[order] = 0.0
-            ambiguous = ambiguous[~self.rescore(Q, T, order[ambiguous])]
-        del dist, idx
-        if len(ambiguous):
-            _resolve_ties(tree, Q, T, order[ambiguous], radii[ambiguous], self.idx, _TIE_K)
+        step = len(order) if self.record else _TIE_CHUNK_ROWS
+        end, span, reach = 0, step, 0.0  # reach: a tied chunk's largest tie radius
+        while end < len(order):
+            rows, tied = order[end : end + span], np.empty(0)
+            end += span
+            if reach:
+                listed, tied = _fetch_ties(tree, Q, T, rows, None, self.idx, _TIE_K, reach)
+                rows = rows[~listed]
+            # a one-point target reports its missing runner-up at distance inf,
+            # so none of its rows reads as tied; a target of fewer than _TIE_K
+            # points pads a list with index len(T) at distance inf, so the list
+            # holds every target
+            dist, idx = tree.query(Q[rows], k=_TIE_K if self.record else 2)
+            self.idx[rows] = idx[:, 0]
+            # a runner-up inside the tie radius marks an exact tie or a near-tie the
+            # tree may have ordered by its own rounding; 1e-9 is far above kd error
+            radii = dist[:, 0] * (1.0 + _TIE_RTOL)
+            ambiguous = np.flatnonzero(dist[:, 1] <= radii)
+            # the span's last chunk decides: bounded after ties, else twice as long
+            tied = np.concatenate([tied, radii[ambiguous[ambiguous >= len(rows) - step]]])
+            reach = float(tied.max()) if 2 * len(tied) > step else 0.0
+            span = step if reach else 2 * span
+            if self.record:
+                self.cand[:, rows] = idx.T
+                self.r[rows] = dist[:, -1]
+                self.sl[rows] = 0.0
+                self.d1[rows], self.d2[rows] = dist[:, :2].T
+                self.s[rows] = 0.0
+                ambiguous = ambiguous[~self.rescore(Q, T, rows[ambiguous])]
+            del dist, idx
+            if len(ambiguous):
+                _resolve_ties(tree, Q, T, rows[ambiguous], radii[ambiguous], self.idx, _TIE_K)
 
 
 def _nearest_candidates(q, T, cand, valid):
@@ -379,30 +404,44 @@ def _resolve_ties(tree, Q, T, queries, radii, best, k):
     radii[i] is the tie radius d0 * (1 + _TIE_RTOL) of queries[i], d0 its
     nearest distance. Candidates within it contain every exact minimizer,
     since kd arithmetic errs far less than _TIE_RTOL, so each chunk's
-    query stops at its largest tie radius. Rows whose k-th candidate is
-    inside that radius may tie beyond it and are resolved again with a
-    larger k; k grows at least to 2k + 1 each time, so the passes end
-    once k reaches len(T).
+    query stops at its largest tie radius (_fetch_ties). Rows whose k-th
+    candidate is inside that radius may tie beyond it and are resolved
+    again with a larger k; k grows at least to 2k + 1 each time, so the
+    passes end once k reaches len(T).
     """
     k = min(k, len(T))
     chunk = max(1, _TIE_CHUNK_ROWS * _TIE_K // k)
     for start in range(0, len(queries), chunk):
-        rows = queries[start : start + chunk]
         r = radii[start : start + chunk]
-        # scipy keeps candidates whose squared distance is strictly below
-        # the squared bound: the margin keeps each row's radius inside it,
-        # and the floor keeps it above 0 where d0 is 0 or its square
-        # underflows
-        bound = max(float(r.max()) * (1.0 + _TIE_RTOL), 1e-150)
-        q = Q[rows]
-        dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
-        # candidates beyond the bound come back as index len(T); every
-        # exact minimizer is inside the radius, where they all are real
-        inside = np.less_equal(dist.T, r, order="C")
-        best[rows] = _nearest_candidates(q, T, idx.T, inside)[0]
-        spill = inside[-1]
-        if k < len(T) and spill.any():
-            count = tree.query_ball_point(q[spill], r[spill], return_length=True)
-            _resolve_ties(
-                tree, Q, T, rows[spill], r[spill], best, max(int(count.max()) + 1, 2 * k + 1)
-            )
+        _fetch_ties(tree, Q, T, queries[start : start + chunk], r, best, k, float(r.max()))
+
+
+def _fetch_ties(tree, Q, T, rows, r, best, k, reach):
+    """Set best for rows from one query at k bounded just beyond reach.
+
+    r holds the rows' tie radii, none above reach, or is None to take each
+    from the row's own nearest candidate. Only rows whose radius times
+    1 + _TIE_RTOL is inside the bound, so that all their candidates within
+    it were fetched, are set; those whose k-th candidate is inside go on to
+    a counted pass. Returns the mask of rows set and the tied rows' radii.
+    """
+    # scipy keeps candidates whose squared distance is strictly below the
+    # squared bound: the margin keeps each radius inside it, and the floor
+    # keeps it above 0 where d0 is 0 or its square underflows
+    bound = max(reach * (1.0 + _TIE_RTOL), 1e-150)
+    q = Q[rows]
+    dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
+    if r is None:
+        r = dist[:, 0] * (1.0 + _TIE_RTOL)
+    listed = r * (1.0 + _TIE_RTOL) <= bound  # d0 = inf, nothing fetched, fails
+    if not listed.all():
+        rows, q, r, dist, idx = (x[listed] for x in (rows, q, r, dist, idx))
+    # candidates beyond the bound come back as index len(T); every exact
+    # minimizer is inside the radius, where they all are real
+    inside = np.less_equal(dist.T, r, order="C")
+    best[rows] = _nearest_candidates(q, T, idx.T, inside)[0]
+    spill = inside[-1]
+    if k < len(T) and spill.any():
+        count = tree.query_ball_point(q[spill], r[spill], return_length=True)
+        _resolve_ties(tree, Q, T, rows[spill], r[spill], best, max(int(count.max()) + 1, 2 * k + 1))
+    return listed, r[inside[1]]

@@ -92,6 +92,14 @@ class TestDistance:
         fields = stdout_fields(capsys.readouterr().out)
         assert fields["value"] == "2000.0"
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1", "-0.0"])
+    def test_scale_display_must_be_positive_and_finite(self, pair_files, capsys, scale):
+        fa, fb, _, _ = pair_files
+        assert main(["distance", str(fa), str(fb), f"--scale-display={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--scale-display" in captured.err
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.xyz"
         present = write_xyz(tmp_path / "p.xyz", [[0.0, 0.0, 0.0]])
@@ -546,6 +554,25 @@ class TestEval:
         assert fields["cd_l2"] == repr(report.cd_l2 * 1000)
         assert fields["fscore"] == repr(report.fscore)
         assert fields["hausdorff"] == repr(report.hausdorff)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_scale_display_must_be_positive_and_finite(self, tmp_path, capsys, scale):
+        write_xyz(tmp_path / "c.xyz", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        f = str(tmp_path / "c.xyz")
+        assert main(["eval", f, f, f"--scale-display={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--scale-display" in captured.err
+
+    @pytest.mark.parametrize("threshold", ["inf", "nan", "1e308"])
+    def test_threshold_must_be_finite(self, tmp_path, capsys, threshold):
+        # 1e308 percent of the diagonal overflows
+        write_xyz(tmp_path / "c.xyz", [[0.0, 0.0, 0.0], [1e10, 1.0, 1.0]])
+        f = str(tmp_path / "c.xyz")
+        assert main(["eval", f, f, f"--threshold={threshold}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
 
     def test_bad_mode_is_usage_error(self, tmp_path, capsys):
         write_xyz(tmp_path / "c.xyz", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])

@@ -53,6 +53,9 @@ class TestFscore:
             fscore(a, a, 0.0)
         with pytest.raises(ValueError, match="threshold"):
             fscore(a, a, -1.0)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                fscore(a, a, bad)
 
 
 class TestHausdorff:
@@ -147,6 +150,15 @@ class TestEvaluate:
             evaluate(c, c, threshold_mode="relative")
         with pytest.raises(ValueError, match="threshold"):
             evaluate(c, c, threshold=0.0)
+        for mode in ("absolute", "percent"):
+            for bad in (-1.0, np.inf, np.nan):
+                with pytest.raises(ValueError, match="threshold"):
+                    evaluate(c, c, threshold_mode=mode, threshold=bad)
+        # finite, but a percent of this diagonal overflows
+        wide = PointCloud([[0.0, 0.0, 0.0], [1e10, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="threshold 1e\\+308 percent .* overflows"):
+            evaluate(wide, wide, threshold=1e308)
+        assert evaluate(wide, wide, threshold_mode="absolute", threshold=1e308).fscore == 1.0
 
     def test_to_dict_keys(self):
         c = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])

@@ -312,8 +312,96 @@ class TestTieResolution:
         target = PointCloud(repeated[rng.permutation(len(repeated))])
         queries = PointCloud(np.vstack([base, uniform_cloud(rng, 50).points]))
         assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
-        # 80 tied rows: 7 first-pass chunks of 13, each sending its rows on
-        assert tie_passes == [_TIE_K] + [65] * 7
+        # 80 tied rows in 7 chunks of 13: the first takes the k=2 query and a
+        # k=5 pass, and sends its rows on; each later chunk takes a bounded
+        # k=5 query, which sends the rows inside its bound straight on. One
+        # row of the 6th chunk has a tie radius beyond the bound, so it takes
+        # the k=2 query, a k=5 pass and the deep pass after the others
+        assert tie_passes == [_TIE_K] + [65] * 6 + [_TIE_K, 65, 65]
+
+    @pytest.mark.parametrize("lift", [100.0, 3.87e-5])
+    def test_bounded_chunk_whose_rows_all_fall_back(self, monkeypatch, lift):
+        # 4 rows at the centre of a unit square tie 4 ways, so the next chunk
+        # of 4 takes one k=5 query bounded by their tie radius. Lifted off the
+        # square, its rows lie beyond the bound (100), or inside it with a tie
+        # radius that is not (3.87e-5): none is settled, all take the k=2 path
+        monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 4)
+        bounded = []
+        inner = matching._fetch_ties
+
+        def spy(tree, Q, T, rows, r, *rest):
+            listed, tied = inner(tree, Q, T, rows, r, *rest)
+            if r is None:
+                bounded.append(listed.tolist())
+            return listed, tied
+
+        monkeypatch.setattr(matching, "_fetch_ties", spy)
+        target = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        queries = PointCloud([[0.5, 0.5, 0.0]] * 4 + [[0.5, 0.5, lift]] * 4)
+        bound = np.sqrt(0.5) * (1.0 + _TIE_RTOL) ** 2
+        d0 = np.sqrt(0.5 + lift * lift)
+        assert d0 * (1.0 + _TIE_RTOL) ** 2 > bound
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert bounded == [[False] * 4]
+
+    def test_bounded_chunk_sends_spilled_rows_to_the_counted_pass(self, monkeypatch, tie_passes):
+        # the corners of a unit square twice over: its centre ties 8 ways,
+        # beyond the 5 candidates fetched. In each direction the first chunk
+        # takes the k=2 query, a k=5 pass and the counted pass (k=11, capped
+        # at the 8 targets, 2 rows a query); the second, bounded, goes from
+        # its one k=5 query straight to the counted pass
+        monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 4)
+        queried = []
+
+        class Counting(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queried.append((k, len(x)))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(matching, "_kd_tree", lambda p: Counting(p, balanced_tree=False))
+        corners = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        target = PointCloud(corners * 2)
+        queries = PointCloud([[0.5, 0.5, 0.0]] * 8)
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert tie_passes == [_TIE_K, 11, 11] * 2
+        # 16 rows over both directions: each fetched at k=5 once, and only the
+        # 4 rows of each first chunk at k=2
+        fetched = {k: sum(rows for kk, rows in queried if kk == k) for k in (2, _TIE_K)}
+        assert fetched == {2: 8, _TIE_K: 16}
+
+    @seed(20261020)
+    @settings(max_examples=40, deadline=4000, database=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["grid", "uniform", "copies", "tiny"]), st.integers(1, 30)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_chunks_switching_k_equal_brute(self, blocks, cloud_seed):
+        # 7 rows per chunk, so that tied and untied runs of a drawn mix of
+        # blocks switch chunks between the bounded k=5 and the k=2 query:
+        # grid rows tie 4 ways with the shifted grid, 8 ways where half of
+        # it is doubled; copies of target rows sit at distance 0; tiny rows
+        # tie at 1e-155, where the squares are subnormal or 0
+        rng = np.random.default_rng(cloud_seed)
+        axis = np.arange(8) / 8
+        grid = np.stack(np.meshgrid(axis, axis, [0.0], indexing="ij"), -1).reshape(-1, 3)
+        shifted = grid + [1 / 16, 1 / 16, 0.0]
+        target = np.vstack([shifted, shifted[:32], rng.uniform(0, 1, (20, 3)), shifted * 1e-155])
+        target = PointCloud(target[rng.permutation(len(target))])
+        make = {
+            "grid": lambda n: grid[rng.integers(0, len(grid), n)],
+            "uniform": lambda n: rng.uniform(0, 1, (n, 3)),
+            "copies": lambda n: target.points[rng.integers(0, len(target), n)],
+            "tiny": lambda n: grid[rng.integers(0, len(grid), n)] * 1e-155,
+        }
+        queries = PointCloud(np.vstack([make[kind](n) for kind, n in blocks]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "_TIE_CHUNK_ROWS", 7)
+            assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+            assert_matches_equal(match_indexed(target, queries), match_brute(target, queries))
 
     @pytest.mark.parametrize("scale", [1e-140, 1e-160, 1e-200, 1e-310])
     def test_tiny_scales_equal_brute(self, scale):
