@@ -42,9 +42,12 @@ def acosh1p(u):
     if not (u >= 0).all():
         raise ValueError("acosh1p requires u >= 0")
     big = u > _ACOSH1P_LOG_FROM
-    near = np.where(big, 0.0, u)
-    out = np.where(big, np.log(2.0) + np.log1p(u), np.log1p(near + np.sqrt(near * (near + 2.0))))
-    return out if out.ndim else float(out)
+    far = big.any()  # the far form only when needed: it takes log1p of every element
+    near = np.where(big, 0.0, u) if far else u
+    out = np.log1p(near + np.sqrt(near * (near + 2.0)))
+    if far:
+        out = np.where(big, np.log(2.0) + np.log1p(u), out)
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,8 @@ def transform(spec: TransformSpec, d):
         out = np.array(acosh1p(u))
         # only where u overflows: elsewhere beta * log(d) can overflow itself
         far = np.isinf(u)
-        out[far] = np.log(2.0) + np.log(spec.alpha) + spec.beta * np.log(arr[far])
+        if far.any():
+            out[far] = np.log(2.0) + np.log(spec.alpha) + spec.beta * np.log(arr[far])
     return out if np.ndim(out) else float(out)
 
 

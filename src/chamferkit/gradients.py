@@ -51,10 +51,17 @@ def chamfer_gradient(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coef_f = np.where(d_f > 0, transform_derivative(spec, d_f) / d_f, 0.0) / n
         coef_b = np.where(d_b > 0, transform_derivative(spec, d_b) / d_b, 0.0) / m
-    grad += coef_f[:, None] * (A - B[match.fwd_idx])
+    # each direction's pull is built in place in one array, with the bits of
+    # coef * (A - B[fwd_idx]); grad starts at +0, so a pull of -0 leaves +0
+    pull = B.take(match.fwd_idx, axis=0)
+    np.subtract(A, pull, out=pull)
+    pull *= coef_f[:, None]
+    grad += pull
     # one 1-D scatter per coordinate: each element still accumulates in
     # occurrence order, as a 2-D np.add.at would, at a fraction of its cost
-    pull = coef_b[:, None] * (A[match.bwd_idx] - B)
+    pull = A.take(match.bwd_idx, axis=0)
+    pull -= B
+    pull *= coef_b[:, None]
     for c in range(3):
         np.add.at(grad[:, c], match.bwd_idx, pull[:, c])
 

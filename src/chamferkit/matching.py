@@ -19,9 +19,9 @@ still lies inside the tie radius, where more candidates may tie beyond
 it, go through the same pass again with a larger k, sized from a count
 of the targets inside that radius. Ties cluster in leaf order, so after
 a chunk of rows more than half tied the next chunk takes that query
-directly, bounded by the chunk's largest tie radius; a row whose own
-radius, with the margin, lies inside the bound had every candidate
-within it fetched and is settled from them.
+directly, bounded just beyond the chunk's largest tie radius; a row
+whose own radius, with the margin, lies inside the bound had every
+candidate within it fetched and is settled from them.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
 through one private matcher. It builds the target's tree once and
@@ -213,13 +213,13 @@ class _Matcher:
             self._order = tree.indices
         self._fwd.requery(self._tree, A, T, self._fwd.settle(A, T, self._order))
         fwd_idx = self._fwd.idx
-        fwd_sq = pair_sq(A, T[fwd_idx])
+        fwd_sq = pair_sq(A, T.take(fwd_idx, axis=0))
         if last:
             self._tree = None
         if tree is not None:
             self._bwd.requery(tree, T, A, bwd_order)
         bwd_idx = self._bwd.idx
-        return MatchResult(fwd_idx, fwd_sq, bwd_idx, pair_sq(T, A[bwd_idx]))
+        return MatchResult(fwd_idx, fwd_sq, bwd_idx, pair_sq(T, A.take(bwd_idx, axis=0)))
 
 
 def _move_bound(A: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -231,7 +231,9 @@ def _move_bound(A: np.ndarray, prev: np.ndarray) -> np.ndarray:
     bound, so a row that did not move has moved 0.
     """
     euclid = np.sqrt(pair_sq(A, prev)) + 1e-160
-    return np.minimum(euclid, np.abs(A - prev).sum(axis=1)) * (1.0 + 1e-15)
+    d = np.abs(A - prev)
+    # the order, and so the bits, of d.sum(axis=1)
+    return np.minimum(euclid, (d[:, 0] + d[:, 1]) + d[:, 2]) * (1.0 + 1e-15)
 
 
 class _Rows:
@@ -309,11 +311,11 @@ class _Rows:
         for start in range(0, len(listed), _TIE_CHUNK_ROWS):
             at = listed[start : start + _TIE_CHUNK_ROWS]
             chunk, cap = rows[at], bound[at]
-            cand = self.cand[:, chunk]
-            best, sq = _nearest_candidates(Q[chunk], T, cand, cand < len(T))
+            cand = self.cand.take(chunk, axis=1)
+            best, sq = _nearest_candidates(Q.take(chunk, axis=0), T, cand, cand < len(T))
             low = np.sqrt(sq.min(axis=0))
             # candidates are distinct, so the least of the others is the runner-up
-            sq[cand == best] = np.inf
+            np.putmask(sq, cand == best, np.inf)
             runner = np.sqrt(sq.min(axis=0))
             found = low * (1.0 + _TIE_RTOL) < cap
             ok[at] = found
@@ -332,11 +334,12 @@ class _Rows:
         rows are rescored. Without one, at k = 2 in spans that start at
         _TIE_CHUNK_ROWS and double while untied, but a chunk after one more
         than half tied takes the tie pass's k = _TIE_K query instead,
-        bounded by that chunk's largest tie radius; a row whose own radius,
-        with the margin, is inside the bound has all its candidates within
-        it fetched and is settled (_fetch_ties). Rows still tied go through
-        the tie pass. The order, a leaf order of Q's rows, changes the
-        speed, never the result.
+        bounded by that chunk's largest tie radius with twice the margin; a
+        row whose own radius, with the margin, is inside the bound has all
+        its candidates within it fetched and is settled (_fetch_ties), even
+        where rounding puts its radius just above that chunk's largest. Rows
+        still tied go through the tie pass. The order, a leaf order of Q's
+        rows, changes the speed, never the result.
         """
         if not len(order):
             return
@@ -354,7 +357,7 @@ class _Rows:
             # so none of its rows reads as tied; a target of fewer than _TIE_K
             # points pads a list with index len(T) at distance inf, so the list
             # holds every target
-            dist, idx = tree.query(Q[rows], k=_TIE_K if self.record else 2)
+            dist, idx = tree.query(Q.take(rows, axis=0), k=_TIE_K if self.record else 2)
             self.idx[rows] = idx[:, 0]
             # a runner-up inside the tie radius marks an exact tie or a near-tie the
             # tree may have ordered by its own rounding; 1e-9 is far above kd error
@@ -392,8 +395,8 @@ def _nearest_candidates(q, T, cand, valid):
         d = q[:, c] - T[:, c][j]
         d *= d
         sq += d
-    sq[~valid] = np.inf
-    j[sq != sq.min(axis=0)] = len(T)
+    np.putmask(sq, ~valid, np.inf)
+    np.putmask(j, sq != sq.min(axis=0), len(T))
     return j.min(axis=0), sq
 
 
@@ -423,19 +426,21 @@ def _fetch_ties(tree, Q, T, rows, r, best, k, reach):
     from the row's own nearest candidate. Only rows whose radius times
     1 + _TIE_RTOL is inside the bound, so that all their candidates within
     it were fetched, are set; those whose k-th candidate is inside go on to
-    a counted pass. Returns the mask of rows set and the tied rows' radii.
+    a counted pass. The bound is reach times (1 + _TIE_RTOL)**2, so a row
+    whose radius lies a rounding above reach is still set. Returns the mask
+    of rows set and the tied rows' radii.
     """
     # scipy keeps candidates whose squared distance is strictly below the
     # squared bound: the margin keeps each radius inside it, and the floor
     # keeps it above 0 where d0 is 0 or its square underflows
-    bound = max(reach * (1.0 + _TIE_RTOL), 1e-150)
-    q = Q[rows]
+    bound = max(reach * (1.0 + _TIE_RTOL) ** 2, 1e-150)
+    q = Q.take(rows, axis=0)
     dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
     if r is None:
         r = dist[:, 0] * (1.0 + _TIE_RTOL)
     listed = r * (1.0 + _TIE_RTOL) <= bound  # d0 = inf, nothing fetched, fails
     if not listed.all():
-        rows, q, r, dist, idx = (x[listed] for x in (rows, q, r, dist, idx))
+        rows, q, r, dist, idx = (x.compress(listed, axis=0) for x in (rows, q, r, dist, idx))
     # candidates beyond the bound come back as index len(T); every exact
     # minimizer is inside the radius, where they all are real
     inside = np.less_equal(dist.T, r, order="C")

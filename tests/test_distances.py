@@ -177,6 +177,31 @@ class TestTransform:
         expected = [math.acosh(1.0 + x) for x in u]
         np.testing.assert_allclose(acosh1p(u), expected, rtol=1e-15)
 
+    def test_near_elements_keep_their_bits_beside_far_ones(self):
+        # the far forms run only when some element needs them; a near
+        # element's bits must not depend on whether one does, and every
+        # element must carry the bits of both branches taken everywhere
+        def both_branches(u):
+            big = u > 1e150
+            near = np.where(big, 0.0, u)
+            return np.where(big, np.log(2.0) + np.log1p(u), np.log1p(near + np.sqrt(near * (near + 2.0))))
+
+        u = np.concatenate([[0.0, 5e-324], np.logspace(-300, 150, 400)])
+        alone = acosh1p(u)
+        assert alone.tobytes() == both_branches(u).tobytes()
+        for far in (np.nextafter(1e150, np.inf), 1e200, np.inf):
+            mixed = np.insert(u, 7, far)
+            got = acosh1p(mixed)
+            assert np.delete(got, 7).tobytes() == alone.tobytes()
+            assert got.tobytes() == both_branches(mixed).tobytes()
+        spec = TransformSpec("hyper", 1.0, 2.0)
+        d = np.concatenate([[0.0, 5e-324], np.logspace(-160, 75, 400)])
+        alone = transform(spec, d)
+        for far in (1e76, 1e155):  # u beyond 1e150; u overflows
+            got = transform(spec, np.insert(d, 7, far))
+            assert np.delete(got, 7).tobytes() == alone.tobytes()
+            assert got[7] == transform(spec, far)
+
     def test_acosh1p_rejects_negative_u(self):
         with pytest.raises(ValueError, match="u >= 0"):
             acosh1p(-1.0)

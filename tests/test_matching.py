@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -344,6 +346,29 @@ class TestTieResolution:
         assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
         assert bounded == [[False] * 4]
 
+    def test_bounded_chunks_of_a_shifted_grid_settle_every_row(self, monkeypatch):
+        # the tie radii of a shifted grid differ by rounding alone, so a row's
+        # radius can lie ulps above the previous chunk's largest; the bound
+        # still fits it, and no row of a bounded chunk falls back
+        fell_back = []
+        inner = matching._fetch_ties
+
+        def spy(tree, Q, T, rows, r, *rest):
+            listed, tied = inner(tree, Q, T, rows, r, *rest)
+            if r is None:
+                fell_back.append(int((~listed).sum()))
+            return listed, tied
+
+        monkeypatch.setattr(matching, "_fetch_ties", spy)
+        side = 128
+        grid = gen_shape("plane-grid", side * side, seed=1).points
+        half = 0.5 / (side - 1)
+        rng = np.random.default_rng(1)
+        a = PointCloud(grid[rng.permutation(side * side)])
+        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert len(fell_back) > 1 and sum(fell_back) == 0
+
     def test_bounded_chunk_sends_spilled_rows_to_the_counted_pass(self, monkeypatch, tie_passes):
         # the corners of a unit square twice over: its centre ties 8 ways,
         # beyond the 5 candidates fetched. In each direction the first chunk
@@ -510,6 +535,33 @@ class TestMatcherAcrossCalls:
         # a later call must not change what an earlier one returned
         for got, expected in returned:
             assert_matches_equal(got, expected)
+
+    @seed(20261102)
+    @settings(max_examples=150, deadline=2000, database=None)
+    @given(
+        st.sampled_from([1e-320, 1e-160, 1.0, 1e149]),
+        st.sampled_from([1.0, 1e-3, 1e-9, 0.0]),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_move_bound_never_below_the_move(self, scale, step, n, cloud_seed):
+        # subnormal coordinates, moves whose squares underflow, moves along
+        # one axis (where the L1 and Euclidean moves agree) and rows that do
+        # not move; the move is taken exactly, from the coordinates' values
+        rng = np.random.default_rng(cloud_seed)
+        prev = rng.uniform(-1.0, 1.0, (n, 3)) * scale
+        delta = rng.uniform(-1.0, 1.0, (n, 3)) * (step * scale)
+        delta[rng.random(n) < 0.3, 1:] = 0.0
+        A = prev + delta
+        bound = matching._move_bound(A, prev)
+        # the L1 term, summed by coordinate, carries the bits of the
+        # length-3 reduction that the bound was first written with
+        l1 = np.abs(A - prev).sum(axis=1)
+        reference = np.minimum(np.sqrt(pair_sq(A, prev)) + 1e-160, l1) * (1.0 + 1e-15)
+        assert bound.tobytes() == reference.tobytes()
+        for row in range(n):
+            move_sq = sum((Fraction(x) - Fraction(p)) ** 2 for x, p in zip(A[row], prev[row]))
+            assert Fraction(bound[row]) ** 2 >= move_sq
 
     def test_rescoring_in_several_chunks(self, monkeypatch):
         # 7 rows per chunk, so the lists of 300 walking points are rescored
