@@ -51,8 +51,7 @@ def chamfer_gradient(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coef_f = np.where(d_f > 0, transform_derivative(spec, d_f) / d_f, 0.0) / n
         coef_b = np.where(d_b > 0, transform_derivative(spec, d_b) / d_b, 0.0) / m
-    # each direction's pull is built in place in one array, with the bits of
-    # coef * (A - B[fwd_idx]); grad starts at +0, so a pull of -0 leaves +0
+    # pulls built in place, with coef * (A - B[fwd_idx])'s bits; grad starts at +0
     pull = B.take(match.fwd_idx, axis=0)
     np.subtract(A, pull, out=pull)
     pull *= coef_f[:, None]

@@ -335,11 +335,11 @@ class _Rows:
         _TIE_CHUNK_ROWS and double while untied, but a chunk after one more
         than half tied takes the tie pass's k = _TIE_K query instead,
         bounded by that chunk's largest tie radius with twice the margin; a
-        row whose own radius, with the margin, is inside the bound has all
-        its candidates within it fetched and is settled (_fetch_ties), even
-        where rounding puts its radius just above that chunk's largest. Rows
-        still tied go through the tie pass. The order, a leaf order of Q's
-        rows, changes the speed, never the result.
+        row whose own radius, with the margin, is inside the bound, even a
+        rounding above that chunk's largest, has all its candidates within
+        it fetched and is settled (_fetch_ties). Rows still tied go through
+        the tie pass. The order, a leaf order of Q's rows, changes the
+        speed, never the result.
         """
         if not len(order):
             return
