@@ -47,7 +47,7 @@ def acosh1p(u):
     out = np.log1p(near + np.sqrt(near * (near + 2.0)))
     if far:
         out = np.where(big, np.log(2.0) + np.log1p(u), out)
-    return out if np.ndim(out) else float(out)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -554,8 +554,8 @@ class TestMatcherAcrossCalls:
         delta[rng.random(n) < 0.3, 1:] = 0.0
         A = prev + delta
         bound = matching._move_bound(A, prev)
-        # the L1 term, summed by coordinate, carries the bits of the
-        # length-3 reduction that the bound was first written with
+        # the L1 term, summed by coordinate, must carry the bits of the
+        # length-3 reduction
         l1 = np.abs(A - prev).sum(axis=1)
         reference = np.minimum(np.sqrt(pair_sq(A, prev)) + 1e-160, l1) * (1.0 + 1e-15)
         assert bound.tobytes() == reference.tobytes()
