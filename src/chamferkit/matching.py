@@ -25,34 +25,38 @@ candidate within it fetched and is settled from them.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
 through one private matcher. It builds the target's tree once and
-keeps, for every row in each direction, its chosen index, the nearest
-and runner-up distances d1 and d2 it was last matched at, and s, the
-row's move since then: for a row of the moving cloud a bound on its
-Euclidean move, never below it even where the squares underflow, and
-for a row of the target the largest such move of any point. By the
-triangle inequality the chosen point is now at most d1 + s away and
-every other point at least d2 - s, so where (d1 + s) * (1 + _TIE_RTOL)
-< d2 - s and d2 >= 1e-150 the nearest point is unique, lies outside
-every tie radius, and is the one match_brute returns: the row keeps its
-index without any work.
+keeps, for every row in each direction, its chosen index idx, its
+candidate list (the _TIE_K nearest targets of its last kd query) and
+three running bounds: hi, an upper bound on the distance to idx; lo, a
+lower bound on the distance to every other target; and free, a lower
+bound on the distance to every target outside the list. Each call
+moves a row by at most its move bound: for a row of the moving cloud a
+bound on its Euclidean move, never below it even where the squares
+underflow, and for a row of the target the largest such move of any
+point. By the triangle inequality the call adds the bound to hi and
+subtracts it from lo and free, and the three stay bounds. A kd query
+sets them from its distances, which err by a rounding far below
+_TIE_RTOL; every test on them allows that margin.
 
-Every other row is rescored from its candidate list: the _TIE_K nearest
-targets of its last kd query, that query's _TIE_K-th kd distance r, and
-sl, the row's move since the query. No target outside the list was
-nearer than r then, r * (1 - _TIE_RTOL) allowing for kd rounding, so
-none is nearer than bound = r * (1 - _TIE_RTOL) - sl now. The list is
-scored exactly, in pair_sq's arithmetic; where its best distance d has
-d * (1 + _TIE_RTOL) < bound and bound >= 1e-150, so that outside points
+A row with hi * (1 + _TIE_RTOL) < lo and lo >= 1e-150 has a unique
+nearest point, outside every tie radius, and it is the one match_brute
+returns: the row keeps its index without any work.
+
+Every other row is rescored from its candidate list, scored exactly in
+pair_sq's arithmetic. Where the list's best distance d has
+d * (1 + _TIE_RTOL) < free and free >= 1e-150, so that outside points
 square to normal numbers and cannot tie with d by underflow, every
 exact minimizer is in the list and its lowest index is match_brute's.
-The row takes it, with d1 = d and d2 the lesser of the runner-up in the
-list and bound. Only rows whose list fails are queried again, once, at
-k = _TIE_K: the query gives a row its fresh list, its kd nearest and
-d1 and d2. A tied row is rescored from that list, and one the list
-cannot settle (more than _TIE_K near-ties, or distances below 1e-150)
-goes through the tie pass above. The moving cloud's tree is built only
-when some target row needs a query. Squared distances are recomputed
-for all rows, so a warm-started match carries the bits of a fresh one.
+The row takes it, with hi = d and lo the lesser of the runner-up in the
+list and free. Only rows whose list fails are queried again, once, at
+k = _TIE_K: the query gives a row its fresh list, with free its _TIE_K-th
+kd distance times 1 - _TIE_RTOL, its kd nearest, and hi and lo its two
+nearest kd distances. A tied row is rescored from that list, and one
+the list cannot settle (more than _TIE_K near-ties, or distances below
+1e-150) goes through the tie pass above. The moving cloud's tree is
+built only when some target row needs a query. Squared distances are
+recomputed for all rows, so a warm-started match carries the bits of a
+fresh one.
 """
 
 from __future__ import annotations
@@ -239,30 +243,29 @@ def _move_bound(A: np.ndarray, prev: np.ndarray) -> np.ndarray:
 class _Rows:
     """One direction's record of its queries, one entry per query row.
 
-    idx is the row's nearest target. Recorded for a later call: d1 and d2,
-    the row's nearest and runner-up distances when it was last matched,
-    and s, a bound on how far the row has moved since, relative to every
-    target; cand, the _TIE_K candidates of its last kd query,
-    candidate-major, with r, that query's _TIE_K-th kd distance, and sl,
-    the row's move since that query.
+    idx is the row's nearest target. Recorded for a later call: cand, the
+    _TIE_K candidates of its last kd query, candidate-major, and three
+    running bounds on its distances, kept valid under every move (see
+    moved): hi, an upper bound on the distance to idx; lo, a lower bound
+    on the distance to every other target; and free, a lower bound on
+    the distance to every target outside cand.
     """
 
     def __init__(self, n: int, m: int, record: bool):
-        self.idx = None  # set by the first query, which takes every row
+        self.idx = np.empty(n, dtype=np.int64)  # set by the first query, which takes every row
         self.record = record
         if record:
-            self.d1 = np.full(n, np.inf)  # never queried: stale, as inf < inf fails
-            self.d2 = np.full(n, np.inf)
-            self.s = np.zeros(n)
             # int32 holds the index of each of m targets and the padding index m
             self.cand = np.zeros((_TIE_K, n), dtype=np.int32 if m < 2**31 else np.int64)
-            self.r = np.zeros(n)  # no list yet: r - sl is below 1e-150
-            self.sl = np.zeros(n)
+            self.hi = np.full(n, np.inf)  # never queried: stale, as inf < inf fails
+            self.lo = np.full(n, np.inf)
+            self.free = np.zeros(n)  # no list yet: below 1e-150
 
     def moved(self, move):
-        """Add move, per row or one bound for all, to the rows' moves."""
-        self.s += move
-        self.sl += move
+        """Widen the bounds by move, per row or one bound for all rows."""
+        self.hi += move
+        self.lo -= move
+        self.free -= move
         # earlier results hold the old idx, so this call's changes go to a copy
         self.idx = self.idx.copy()
 
@@ -283,28 +286,27 @@ class _Rows:
     def stale(self, order: np.ndarray) -> np.ndarray:
         """The rows in order whose nearest target may differ from idx.
 
-        By the triangle inequality idx is now at most d1 + s away and every
-        other target at least d2 - s, so a kept row's nearest target is
-        unique, lies outside every tie radius and is match_brute's. Below
-        d2 = 1e-150 distances lose their relative accuracy.
+        idx is at most hi away and every other target at least lo, so where
+        hi(1 + _TIE_RTOL) < lo a row's nearest target is unique, lies
+        outside every tie radius and is match_brute's. Below lo = 1e-150
+        distances lose their relative accuracy.
         """
-        keep = (self.d1 + self.s) * (1.0 + _TIE_RTOL) < self.d2 - self.s
-        keep &= self.d2 >= 1e-150
+        keep = self.hi * (1.0 + _TIE_RTOL) < self.lo
+        keep &= self.lo >= 1e-150
         return order[~keep[order]]
 
     def rescore(self, Q, T, rows):
         """Match the rows of Q listed in rows from their candidate lists;
         return a mask over rows of those the lists settled.
 
-        A target outside the list was at least r(1 - _TIE_RTOL) away at the
-        list's query, the margin covering kd rounding, and is now at least
-        bound = r(1 - _TIE_RTOL) - sl away. Where the list's best exact
-        distance d has d(1 + _TIE_RTOL) < bound, every exact minimizer is
-        in the list, which then gives match_brute's index, and bound caps
-        the runner-up distance d2. At or above 1e-150 outside squares are
+        Every target outside the list is at least free away. Where the
+        list's best exact distance d has d(1 + _TIE_RTOL) < free, every
+        exact minimizer is in the list, which then gives match_brute's
+        index; the row's hi becomes d and its lo the lesser of the list's
+        runner-up and free. At or above free = 1e-150 outside squares are
         normal numbers, so no outside point ties with d by underflow.
         """
-        bound = self.r[rows] * (1.0 - _TIE_RTOL) - self.sl[rows]
+        bound = self.free[rows]
         ok = bound >= 1e-150
         listed = np.flatnonzero(ok)
         # in chunks, so that the (_TIE_K, rows) scratch stays a tie pass's size
@@ -321,9 +323,8 @@ class _Rows:
             ok[at] = found
             done = chunk[found]
             self.idx[done] = best[found]
-            self.d1[done] = low[found]
-            self.d2[done] = np.minimum(runner[found], cap[found])
-            self.s[done] = 0.0
+            self.hi[done] = low[found]
+            self.lo[done] = np.minimum(runner[found], cap[found])
         return ok
 
     def requery(self, tree, Q, T, order):
@@ -343,8 +344,6 @@ class _Rows:
         """
         if not len(order):
             return
-        if self.idx is None:
-            self.idx = np.empty(len(Q), dtype=np.int64)
         step = len(order) if self.record else _TIE_CHUNK_ROWS
         end, span, reach = 0, step, 0.0  # reach: a tied chunk's largest tie radius
         while end < len(order):
@@ -369,10 +368,9 @@ class _Rows:
             span = step if reach else 2 * span
             if self.record:
                 self.cand[:, rows] = idx.T
-                self.r[rows] = dist[:, -1]
-                self.sl[rows] = 0.0
-                self.d1[rows], self.d2[rows] = dist[:, :2].T
-                self.s[rows] = 0.0
+                # the margin covers kd rounding
+                self.free[rows] = dist[:, -1] * (1.0 - _TIE_RTOL)
+                self.hi[rows], self.lo[rows] = dist[:, :2].T
                 ambiguous = ambiguous[~self.rescore(Q, T, rows[ambiguous])]
             del dist, idx
             if len(ambiguous):
