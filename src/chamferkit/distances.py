@@ -148,9 +148,11 @@ def transform_derivative(spec: TransformSpec, d):
             h = arr ** (b / 2.0)
             u = a * h * h
             g = arr ** ((b / 2.0 - 1.0) / 2.0)
-            out = b * g / 2.0 * (np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0)) * g
+            out = np.asarray(b * g / 2.0 * (np.sqrt(2.0 * a) / np.sqrt(1.0 + u / 2.0)) * g)
             # where u overflows the quotient is beta/d to far below one ulp
-            out = np.where(np.isinf(u), b / arr, out)
+            far = np.isinf(u)
+            if far.any():
+                out[far] = b / arr[far]
     return out if np.ndim(out) else float(out)
 
 

@@ -196,11 +196,12 @@ class TestTransform:
             assert got.tobytes() == both_branches(mixed).tobytes()
         spec = TransformSpec("hyper", 1.0, 2.0)
         d = np.concatenate([[0.0, 5e-324], np.logspace(-160, 75, 400)])
-        alone = transform(spec, d)
-        for far in (1e76, 1e155):  # u beyond 1e150; u overflows
-            got = transform(spec, np.insert(d, 7, far))
-            assert np.delete(got, 7).tobytes() == alone.tobytes()
-            assert got[7] == transform(spec, far)
+        for fn in (transform, transform_derivative):
+            alone = fn(spec, d)
+            for far in (1e76, 1e155):  # u beyond 1e150; u overflows
+                got = fn(spec, np.insert(d, 7, far))
+                assert np.delete(got, 7).tobytes() == alone.tobytes()
+                assert got[7] == fn(spec, far)
 
     def test_acosh1p_rejects_negative_u(self):
         with pytest.raises(ValueError, match="u >= 0"):
