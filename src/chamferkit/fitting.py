@@ -28,8 +28,9 @@ class FitConfig:
 
     snapshot_epochs asks for (epoch, cloud, correspondence) records taken
     before the update of that epoch; epoch == epochs means the final
-    state. learning_rate 0 is allowed and leaves the cloud untouched,
-    useful as a no-op baseline.
+    state. epochs and snapshot epochs must be whole numbers, and are
+    stored as ints. learning_rate 0 is allowed and leaves the cloud
+    untouched, useful as a no-op baseline.
     """
 
     spec: TransformSpec
@@ -38,7 +39,9 @@ class FitConfig:
     snapshot_epochs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "snapshot_epochs", tuple(int(e) for e in self.snapshot_epochs))
+        object.__setattr__(self, "epochs", _whole("epochs", self.epochs))
+        snapshots = tuple(_whole("snapshot epoch", e) for e in self.snapshot_epochs)
+        object.__setattr__(self, "snapshot_epochs", snapshots)
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
@@ -46,6 +49,16 @@ class FitConfig:
         for e in self.snapshot_epochs:
             if not 0 <= e <= self.epochs:
                 raise ValueError(f"snapshot epoch {e} outside [0, {self.epochs}]")
+
+
+def _whole(name: str, value) -> int:
+    """value as an int; ValueError where it is not a whole number."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass

@@ -60,6 +60,24 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="epochs"):
             FitConfig(spec=L2, learning_rate=0.1, epochs=0)
 
+    @pytest.mark.parametrize("epochs", [2.5, float("nan"), float("inf"), "3"])
+    def test_rejects_non_integral_epochs(self, epochs):
+        # 2.5 used to fail inside fit with numpy's TypeError
+        with pytest.raises(ValueError, match="epochs must be a whole number"):
+            FitConfig(spec=L2, learning_rate=0.1, epochs=epochs)
+
+    def test_rejects_non_integral_snapshot_epochs(self):
+        # 1.5 used to become epoch 1 without a word
+        with pytest.raises(ValueError, match="snapshot epoch must be a whole number, got 1.5"):
+            FitConfig(spec=L2, learning_rate=0.1, epochs=5, snapshot_epochs=(0, 1.5))
+
+    def test_whole_number_epochs_become_ints(self):
+        cfg = FitConfig(spec=L2, learning_rate=0.1, epochs=3.0, snapshot_epochs=(np.int64(1), 3.0))
+        assert (cfg.epochs, cfg.snapshot_epochs) == (3, (1, 3))
+        assert all(type(e) is int for e in (cfg.epochs, *cfg.snapshot_epochs))
+        c = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        assert len(fit(c, c, cfg).losses) == 3
+
     def test_snapshot_epochs_coerced_and_bounded(self):
         cfg = FitConfig(spec=L2, learning_rate=0.1, epochs=5, snapshot_epochs=[0, 2, 5])
         assert cfg.snapshot_epochs == (0, 2, 5)
