@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from scipy.spatial import cKDTree
 
 from chamferkit import (
@@ -591,6 +592,103 @@ class TestMatcherAcrossCalls:
             cloud = PointCloud([[x, 0.0, 0.0]])
             assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
         assert matcher.match(cloud).fwd_idx.tolist() == [5]
+
+
+@seed(20261104)
+@settings(max_examples=150, stateful_step_count=12, deadline=5000, database=None)
+class MatcherMoves(RuleBasedStateMachine):
+    """One _Matcher against one target through any sequence of moves.
+
+    After every call the result equals match_brute's bit for bit, and no
+    earlier result has changed. Lattice cell centres and 3 copies of each
+    target point tie; a target of fewer than _TIE_K points pads every
+    list; at 1e-160 squared distances are subnormal or 0, and at 1e149
+    they come within 1e3 of the float64 range.
+    """
+
+    @initialize(
+        layout=st.sampled_from(["uniform", "shifted lattice", "3 copies", "few points"]),
+        scale=st.sampled_from([1e-160, 1.0, 1e149]),
+        cloud_seed=st.integers(0, 2**32 - 1),
+    )
+    def build(self, layout, scale, cloud_seed):
+        self.rng = rng = np.random.default_rng(cloud_seed)
+        n, m = (int(k) for k in rng.integers(1, 60, 2))
+        points, target = rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (m, 3))
+        if layout == "shifted lattice":
+            axis = np.arange(4.0) / 2.0 - 1.0
+            target = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+            points = target[rng.permutation(len(target))] + 0.25
+        elif layout == "3 copies":
+            target = target[rng.permutation(np.resize(np.arange(m), 3 * m))]
+        elif layout == "few points":
+            target = target[: rng.integers(1, _TIE_K)]
+        self.target = PointCloud(target * scale)
+        self.points = points * scale
+        self.matcher = matching._Matcher(self.target)
+        self.returned = []
+        self.match()
+
+    def match(self):
+        cloud = PointCloud(self.points)
+        self.returned.append((self.matcher.match(cloud), match_brute(cloud, self.target)))
+        for got, expected in self.returned:
+            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+                assert getattr(got, f).tobytes() == getattr(expected, f).tobytes()
+
+    def move(self, rows, to):
+        self.points = self.points.copy()
+        self.points[rows] = np.clip(to, -MAX_ABS_COORD, MAX_ABS_COORD)
+        self.match()
+
+    @rule(
+        share=st.sampled_from([0.1, 0.5, 1.0]),
+        step=st.sampled_from([1e-15, 1e-9, 1e-3, 0.3]),
+        along_axis=st.booleans(),
+    )
+    def translate(self, share, step, along_axis):
+        # along an axis the L1 move equals the Euclidean one, so the move
+        # bound is tight; steps are relative to the cloud's extent
+        rows = self.rng.random(len(self.points)) < share
+        v = np.eye(3)[self.rng.integers(3)] if along_axis else self.rng.uniform(-1.0, 1.0, 3)
+        self.move(rows, self.points[rows] + v * (step * np.abs(self.points).max()))
+
+    @rule(onto=st.sampled_from(["target", "cloud"]), count=st.integers(1, 6))
+    def snap(self, onto, count):
+        # onto a target point, a distance of 0 that ties with its copies,
+        # or onto another row, which the backward direction sees as a tie
+        source = self.target.points if onto == "target" else self.points
+        rows = self.rng.integers(0, len(self.points), count)
+        self.move(rows, source[self.rng.integers(0, len(source), count)])
+
+    @rule(past=st.booleans(), margin=st.sampled_from([1e-15, 1e-9, 1e-3]))
+    def jump(self, past, margin):
+        # toward the nearest target outside the row's candidate list, by
+        # its distance r (the list radius) times 1 + margin or 1 - margin,
+        # so an unlisted target becomes the row's nearest or nearly so;
+        # where the list holds every target, toward the farthest of them
+        row = int(self.rng.integers(len(self.points)))
+        p, T = self.points[row], self.target.points
+        outside = np.setdiff1d(np.arange(len(T)), self.matcher._fwd.cand[:, row])
+        dist = np.sqrt(pair_sq(T, np.broadcast_to(p, T.shape)))
+        j = outside[dist[outside].argmin()] if len(outside) else dist.argmax()
+        self.move([row], p + (T[j] - p) * (1.0 + margin if past else 1.0 - margin))
+
+    @rule(size=st.sampled_from([1e-160, 1e149]), spread=st.sampled_from([1.0, 0.5]))
+    def rescale(self, size, spread):
+        # the whole cloud shrinks or grows to an extent near size
+        extent = np.abs(self.points).max()
+        if extent:
+            self.move(slice(None), self.points / extent * (size * spread))
+        else:
+            self.match()
+
+    @rule()
+    def stay(self):
+        self.match()
+
+
+TestMatcherMoves = MatcherMoves.TestCase
 
 
 class TestCoordinateRange:
