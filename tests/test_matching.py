@@ -579,6 +579,20 @@ class TestMatcherAcrossCalls:
             assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
             points = points + rng.uniform(-1.0, 1.0, points.shape) * step
 
+    def test_keep_rule_floor(self):
+        # below 1e-150 squared distances are subnormal: the point's squares
+        # to the two targets are 3 and 5 units of 5e-324, so lo - move stays
+        # above hi + move after a step of 3e-163, yet both squares are then
+        # 4 units, a tie that goes to target 0; only the floor on lo stops
+        # the row keeping target 1
+        target = PointCloud([[9e-162, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        matcher = matching._Matcher(target)
+        for x, nearest in ((4e-162, 1), (4.3e-162, 0)):
+            cloud = PointCloud([[x, 0.0, 0.0]])
+            got = matcher.match(cloud)
+            assert_matches_equal(got, match_brute(cloud, target))
+            assert got.fwd_idx.tolist() == [nearest]
+
     def test_runner_up_capped_by_list_radius(self):
         # the point's list holds its 5 nearest targets, one ahead at 0.35 and
         # four behind, out to r = 0.4; the 6th target lies ahead at 0.401.
