@@ -306,13 +306,13 @@ class _Rows:
         runner-up and free. At or above free = 1e-150 outside squares are
         normal numbers, so no outside point ties with d by underflow.
         """
-        bound = self.free[rows]
-        ok = bound >= 1e-150
+        free = self.free[rows]
+        ok = free >= 1e-150
         listed = np.flatnonzero(ok)
         # in chunks, so that the (_TIE_K, rows) scratch stays a tie pass's size
         for start in range(0, len(listed), _TIE_CHUNK_ROWS):
             at = listed[start : start + _TIE_CHUNK_ROWS]
-            chunk, cap = rows[at], bound[at]
+            chunk, cap = rows[at], free[at]
             cand = self.cand.take(chunk, axis=1)
             best, sq = _nearest_candidates(Q.take(chunk, axis=0), T, cand, cand < len(T))
             low = np.sqrt(sq.min(axis=0))
