@@ -62,12 +62,10 @@ class TestFitConfig:
 
     @pytest.mark.parametrize("epochs", [2.5, float("nan"), float("inf"), "3"])
     def test_rejects_non_integral_epochs(self, epochs):
-        # 2.5 used to fail inside fit with numpy's TypeError
         with pytest.raises(ValueError, match="epochs must be a whole number"):
             FitConfig(spec=L2, learning_rate=0.1, epochs=epochs)
 
     def test_rejects_non_integral_snapshot_epochs(self):
-        # 1.5 used to become epoch 1 without a word
         with pytest.raises(ValueError, match="snapshot epoch must be a whole number, got 1.5"):
             FitConfig(spec=L2, learning_rate=0.1, epochs=5, snapshot_epochs=(0, 1.5))
 
