@@ -617,7 +617,7 @@ class MatcherMoves(RuleBasedStateMachine):
     earlier result has changed. Lattice cell centres and 3 copies of each
     target point tie; a target of fewer than _TIE_K points pads every
     list; at 1e-160 squared distances are subnormal or 0, and at 1e149
-    they come within 1e3 of the float64 range.
+    they reach about 1e299.
     """
 
     @initialize(
