@@ -252,7 +252,9 @@ class _Rows:
     """
 
     def __init__(self, n: int, m: int, record: bool):
-        self.idx = np.empty(n, dtype=np.int64)  # set by the first query, which takes every row
+        # allocated by the first query, which takes every row: a one-shot
+        # match then holds no backward array through its forward pass
+        self.idx = None
         self.record = record
         if record:
             # int32 holds the index of each of m targets and the padding index m
@@ -344,6 +346,8 @@ class _Rows:
         """
         if not len(order):
             return
+        if self.idx is None:
+            self.idx = np.empty(len(Q), dtype=np.int64)
         step = len(order) if self.record else _TIE_CHUNK_ROWS
         end, span, reach = 0, step, 0.0  # reach: a tied chunk's largest tie radius
         while end < len(order):
