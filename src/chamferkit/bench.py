@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _whole
 from .distances import TRANSFORM_KINDS, TransformSpec, chamfer, chamfer_poincare
 from .matching import match_indexed
 
@@ -61,10 +61,12 @@ def run_bench(
 ) -> BenchReport:
     """Benchmark each kind at each (n, n) size; returns mean and std per config.
 
-    repeats below 3 would make the spread estimate meaningless and is
-    rejected. Warmup rounds run the full schedule but are discarded.
+    sizes, repeats and warmup must be whole numbers. repeats below 3 would
+    make the spread estimate meaningless and is rejected. Warmup rounds run
+    the full schedule but are discarded.
     """
-    sizes = [int(n) for n in sizes]
+    sizes = [_whole("size", n) for n in sizes]
+    repeats, warmup = _whole("repeats", repeats), _whole("warmup", warmup)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive")
     if repeats < MIN_REPEATS:

@@ -27,6 +27,16 @@ def pair_sq(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
     return (diff[..., 0] + diff[..., 1]) + diff[..., 2]
 
 
+def _whole(name: str, value) -> int:
+    """value as an int; ValueError where it is not a whole number or is a bool."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
+        pass
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def check_coord_range(name: str, points: np.ndarray, nonfinite: str | None = None) -> None:
     """Raise ValueError unless every coordinate of points is within MAX_ABS_COORD in magnitude.
 

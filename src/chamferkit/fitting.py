@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cloud import PointCloud, check_coord_range
+from .cloud import PointCloud, _whole, check_coord_range
 from .distances import TransformSpec, chamfer
 from .gradients import chamfer_gradient
 from .matching import MatchResult, _Matcher
@@ -49,16 +49,6 @@ class FitConfig:
         for e in self.snapshot_epochs:
             if not 0 <= e <= self.epochs:
                 raise ValueError(f"snapshot epoch {e} outside [0, {self.epochs}]")
-
-
-def _whole(name: str, value) -> int:
-    """value as an int; ValueError where it is not a whole number."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):  # not a number, NaN or inf
-        pass
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass

@@ -10,48 +10,51 @@ The accelerated route builds a sliding-midpoint kd-tree on each cloud
 and queries the rows of one cloud in the leaf order of its own tree, so
 consecutive queries descend to neighbouring leaves of the other.
 
+One rule, _settle_lists, decides whether a candidate list holds every
+exact nearest target of its row, whether a tie pass has just fetched the
+list or fit stored it states ago. The list's candidates are scored
+exactly, in pair_sq's arithmetic, and free bounds from below the row's
+distance to every target outside the list. Where the list's best
+distance d has d < free and free >= 1e-150, so that outside points
+square to normal numbers and cannot tie with d by underflow, the lowest
+index among the list's exact minimizers is match_brute's. free carries
+the only margin: a kd distance times 1 - _TIE_RTOL, set when the list
+is fetched.
+
 The kd-tree does not order equidistant candidates by index, so the
 accelerated route re-resolves every query whose two nearest candidates
 are (nearly) tied. It does so in bulk: one k = _TIE_K query per chunk of
-tied rows, bounded by the chunk's largest tie radius, with the exact
-minimum taken over all candidates at once. Rows whose k-th candidate
-still lies inside the tie radius, where more candidates may tie beyond
-it, go through the same pass again with a larger k, sized from a count
-of the targets inside that radius. Ties cluster in leaf order, so after
-a chunk of rows more than half tied the next chunk takes that query
-directly, bounded just beyond the chunk's largest tie radius; a row
-whose own radius, with the margin, lies inside the bound had every
-candidate within it fetched and is settled from them.
+tied rows, bounded just beyond the chunk's largest tie radius, whose
+lists the rule settles with free the k-th distance or the bound. Rows
+left unsettled with all k candidates inside the bound, where more
+candidates may tie beyond them, go through the same pass again with a
+larger k, sized from a count of the targets inside the tie radius. Ties
+cluster in leaf order, so after a chunk of rows more than half tied the
+next chunk takes that bounded query directly, and only the rows it
+leaves unsettled take the plain one.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
 through one private matcher. It builds the target's tree once and
 keeps, for every row in each direction, its chosen index idx, its
-candidate list (the _TIE_K nearest targets of its last kd query) and
-three running bounds: hi, an upper bound on the distance to idx; lo, a
-lower bound on the distance to every other target; and free, a lower
-bound on the distance to every target outside the list. Each call
-moves a row by at most its move bound: for a row of the moving cloud a
-bound on its Euclidean move, never below it even where the squares
-underflow, and for a row of the target the largest such move of any
-point. By the triangle inequality the call adds the bound to hi and
-subtracts it from lo and free, and the three stay bounds. A kd query
-sets them from its distances, which err by a rounding far below
-_TIE_RTOL; every test on them allows that margin.
+candidate list (the _TIE_K nearest targets of its last kd query) with
+its free, and two more running bounds: hi, an upper bound on the
+distance to idx, and lo, a lower bound on the distance to every other
+target. Each call moves a row by at most its move bound: for a row of
+the moving cloud a bound on its Euclidean move, never below it even
+where the squares underflow, and for a row of the target the largest
+such move of any point. By the triangle inequality the call adds the
+bound to hi and subtracts it from lo and free, and the three stay
+bounds.
 
 A row with hi * (1 + _TIE_RTOL) < lo and lo >= 1e-150 has a unique
 nearest point, outside every tie radius, and it is the one match_brute
-returns: the row keeps its index without any work.
-
-Every other row is rescored from its candidate list, scored exactly in
-pair_sq's arithmetic. Where the list's best distance d has
-d * (1 + _TIE_RTOL) < free and free >= 1e-150, so that outside points
-square to normal numbers and cannot tie with d by underflow, every
-exact minimizer is in the list and its lowest index is match_brute's.
-The row takes it, with hi = d and lo the lesser of the runner-up in the
-list and free. Only rows whose list fails are queried again, once, at
-k = _TIE_K: the query gives a row its fresh list, with free its _TIE_K-th
-kd distance times 1 - _TIE_RTOL, its kd nearest, and hi and lo its two
-nearest kd distances. A tied row is rescored from that list, and one
+returns: the row keeps its index without any work. Every other row is
+rescored from its candidate list by the rule, and a settled row takes
+hi = d and lo the lesser of the list's runner-up and free. Only rows
+whose list fails are queried again, once, at k = _TIE_K: the query
+gives a row its fresh list, with free its _TIE_K-th kd distance times
+1 - _TIE_RTOL, its kd nearest, and hi and lo its two nearest kd
+distances. A tied row is settled from that list by the rule, and one
 the list cannot settle (more than _TIE_K near-ties, or distances below
 1e-150) goes through the tie pass above. The moving cloud's tree is
 built only when some target row needs a query. Squared distances are
@@ -159,11 +162,10 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     nearest distances are not clearly separated are re-resolved exactly:
     in bulk from their _TIE_K nearest candidates, and again from more
     candidates for rows where even the last one fetched is tied. A
-    leaf-order chunk after a mostly tied one is fetched at _TIE_K within
-    that chunk's largest tie radius, which settles each row whose own
-    radius fits the bound, as its tied candidates were all fetched. All
-    squared distances are recomputed from the chosen indices with the
-    canonical arithmetic.
+    leaf-order chunk after a mostly tied one is fetched at _TIE_K just
+    beyond that chunk's largest tie radius, which settles each row its
+    list shows to hold its nearest targets. All squared distances are
+    recomputed from the chosen indices with the canonical arithmetic.
     """
     return _Matcher(b).match(a, last=True)
 
@@ -257,11 +259,10 @@ class _Rows:
         self.idx = None
         self.record = record
         if record:
-            # int32 holds the index of each of m targets and the padding index m
-            self.cand = np.zeros((_TIE_K, n), dtype=np.int32 if m < 2**31 else np.int64)
-            self.hi = np.full(n, np.inf)  # never queried: stale, as inf < inf fails
-            self.lo = np.full(n, np.inf)
-            self.free = np.zeros(n)  # no list yet: below 1e-150
+            # int32 holds the index of each of m targets and the padding index m;
+            # the first query sets every row's list and bounds before any is read
+            self.cand = np.empty((_TIE_K, n), dtype=np.int32 if m < 2**31 else np.int64)
+            self.hi, self.lo, self.free = np.empty(n), np.empty(n), np.empty(n)
 
     def moved(self, move):
         """Widen the bounds by move, per row or one bound for all rows."""
@@ -277,10 +278,10 @@ class _Rows:
 
         A row keeps idx where it cannot have changed (_Rows.stale) and is
         rescored from its candidate list where the list is shown to hold
-        its nearest point (_Rows.rescore). Without a record no row is
-        settled.
+        its nearest point (_Rows.rescore). Before the first query, and so
+        without a record, no row is settled.
         """
-        if not self.record:
+        if self.idx is None:
             return order
         rows = self.stale(order)
         return rows[~self.rescore(Q, T, rows)]
@@ -290,8 +291,11 @@ class _Rows:
 
         idx is at most hi away and every other target at least lo, so where
         hi(1 + _TIE_RTOL) < lo a row's nearest target is unique, lies
-        outside every tie radius and is match_brute's. Below lo = 1e-150
-        distances lose their relative accuracy.
+        outside every tie radius and is match_brute's. The factor is this
+        test's own margin: it covers kd rounding in a lo taken from a
+        query's runner-up, which has no margin, unlike free, and the
+        rounding that moves add to hi and lo. Below lo = 1e-150 distances
+        lose their relative accuracy.
         """
         keep = self.hi * (1.0 + _TIE_RTOL) < self.lo
         keep &= self.lo >= 1e-150
@@ -299,29 +303,22 @@ class _Rows:
 
     def rescore(self, Q, T, rows):
         """Match the rows of Q listed in rows from their candidate lists;
-        return a mask over rows of those the lists settled.
+        return a mask over rows of those the lists settled (_settle_lists).
 
-        Every target outside the list is at least free away. Where the
-        list's best exact distance d has d(1 + _TIE_RTOL) < free, every
-        exact minimizer is in the list, which then gives match_brute's
-        index; the row's hi becomes d and its lo the lesser of the list's
-        runner-up and free. At or above free = 1e-150 outside squares are
-        normal numbers, so no outside point ties with d by underflow.
+        Every target outside a row's list is at least free away. A settled
+        row takes the list's nearest; its hi becomes that distance and its
+        lo the lesser of the list's runner-up and free.
         """
-        free = self.free[rows]
-        ok = free >= 1e-150
-        listed = np.flatnonzero(ok)
+        ok = np.zeros(len(rows), dtype=bool)
         # in chunks, so that the (_TIE_K, rows) scratch stays a tie pass's size
-        for start in range(0, len(listed), _TIE_CHUNK_ROWS):
-            at = listed[start : start + _TIE_CHUNK_ROWS]
-            chunk, cap = rows[at], free[at]
-            cand = self.cand.take(chunk, axis=1)
-            best, sq = _nearest_candidates(Q.take(chunk, axis=0), T, cand, cand < len(T))
-            low = np.sqrt(sq.min(axis=0))
+        for start in range(0, len(rows), _TIE_CHUNK_ROWS):
+            at = slice(start, start + _TIE_CHUNK_ROWS)
+            chunk = rows[at]
+            cand, cap = self.cand.take(chunk, axis=1), self.free[chunk]
+            found, best, low, sq = _settle_lists(Q.take(chunk, axis=0), T, cand, cap)
             # candidates are distinct, so the least of the others is the runner-up
             np.putmask(sq, cand == best, np.inf)
             runner = np.sqrt(sq.min(axis=0))
-            found = low * (1.0 + _TIE_RTOL) < cap
             ok[at] = found
             done = chunk[found]
             self.idx[done] = best[found]
@@ -336,13 +333,11 @@ class _Rows:
         rows at once at k = _TIE_K, kept as their lists, from which tied
         rows are rescored. Without one, at k = 2 in spans that start at
         _TIE_CHUNK_ROWS and double while untied, but a chunk after one more
-        than half tied takes the tie pass's k = _TIE_K query instead,
-        bounded by that chunk's largest tie radius with twice the margin; a
-        row whose own radius, with the margin, is inside the bound, even a
-        rounding above that chunk's largest, has all its candidates within
-        it fetched and is settled (_fetch_ties). Rows still tied go through
-        the tie pass. The order, a leaf order of Q's rows, changes the
-        speed, never the result.
+        than half tied first takes the tie pass's k = _TIE_K query, bounded
+        just beyond that chunk's largest tie radius, and only the rows its
+        lists leave unset take the k = 2 query (_fetch_ties). Rows still
+        tied go through the tie pass. The order, a leaf order of Q's rows,
+        changes the speed, never the result.
         """
         if not len(order):
             return
@@ -354,8 +349,8 @@ class _Rows:
             rows, tied = order[end : end + span], np.empty(0)
             end += span
             if reach:
-                listed, tied = _fetch_ties(tree, Q, T, rows, None, self.idx, _TIE_K, reach)
-                rows = rows[~listed]
+                done, tied = _fetch_ties(tree, Q, T, rows, self.idx, _TIE_K, reach)
+                rows = rows[~done]
             # a one-point target reports its missing runner-up at distance inf,
             # so none of its rows reads as tied; a target of fewer than _TIE_K
             # points pads a list with index len(T) at distance inf, so the list
@@ -372,7 +367,7 @@ class _Rows:
             span = step if reach else 2 * span
             if self.record:
                 self.cand[:, rows] = idx.T
-                # the margin covers kd rounding
+                # the margin covers kd rounding and the moves' (_settle_lists)
                 self.free[rows] = dist[:, -1] * (1.0 - _TIE_RTOL)
                 self.hi[rows], self.lo[rows] = dist[:, :2].T
                 ambiguous = ambiguous[~self.rescore(Q, T, rows[ambiguous])]
@@ -381,14 +376,29 @@ class _Rows:
                 _resolve_ties(tree, Q, T, rows[ambiguous], radii[ambiguous], self.idx, _TIE_K)
 
 
-def _nearest_candidates(q, T, cand, valid):
-    """The lowest index among each row's exact nearest candidates.
+def _settle_lists(q, T, cand, free):
+    """The rows of q that their candidate lists settle, as they hold every
+    exact nearest target: the matcher's one test of a list.
 
     cand is (k, len(q)), candidate-major, so that the reductions over
-    candidates run along contiguous rows; only those marked valid count.
-    Returns the indices and the (k, len(q)) squared distances, summed one
-    coordinate at a time in pair_sq's order, so with its bits; invalid
-    candidates score inf.
+    candidates run along contiguous rows; the padding index len(T) scores
+    inf. free bounds from below each row's distance to every target outside
+    its list. Where the list's best distance d has d < free and
+    free >= 1e-150, every exact minimizer is in the list, and the lowest
+    index among them is match_brute's; at or above 1e-150 outside squares
+    are normal numbers, so no outside point ties with d by underflow.
+
+    The test has no margin of its own: free carries it. Each free starts
+    as a kd distance times 1 - _TIE_RTOL, an absolute margin of _TIE_RTOL
+    times the distance at the query, fixed from then on. It covers kd
+    rounding, and also the rounding that each free -= move adds, at most
+    about 2**-53 times that distance per move. A factor on d would scale
+    with the current distance instead, and where moves shrink free by
+    cancellation it falls below that rounding.
+
+    Returns the mask of settled rows, each row's lowest-index nearest
+    candidate and its distance d, and the (k, len(q)) squared distances,
+    summed one coordinate at a time in pair_sq's order, so with its bits.
     """
     j = np.minimum(cand, len(T) - 1, order="C")
     sq = q[:, 0] - T[:, 0][j]
@@ -397,9 +407,11 @@ def _nearest_candidates(q, T, cand, valid):
         d = q[:, c] - T[:, c][j]
         d *= d
         sq += d
-    np.putmask(sq, ~valid, np.inf)
-    np.putmask(j, sq != sq.min(axis=0), len(T))
-    return j.min(axis=0), sq
+    np.putmask(sq, cand == len(T), np.inf)
+    low = sq.min(axis=0)
+    np.putmask(j, sq != low, len(T))
+    d = np.sqrt(low)
+    return (d < free) & (free >= 1e-150), j.min(axis=0), d, sq
 
 
 def _resolve_ties(tree, Q, T, queries, radii, best, k):
@@ -409,46 +421,47 @@ def _resolve_ties(tree, Q, T, queries, radii, best, k):
     radii[i] is the tie radius d0 * (1 + _TIE_RTOL) of queries[i], d0 its
     nearest distance. Candidates within it contain every exact minimizer,
     since kd arithmetic errs far less than _TIE_RTOL, so each chunk's
-    query stops at its largest tie radius (_fetch_ties). Rows whose k-th
-    candidate is inside that radius may tie beyond it and are resolved
-    again with a larger k; k grows at least to 2k + 1 each time, so the
-    passes end once k reaches len(T).
+    query stops just beyond its largest tie radius (_fetch_ties). Rows
+    whose k candidates all lie inside that bound, and do not settle them,
+    are resolved again with a larger k; k grows at least to 2k + 1 each
+    time, and a list of all len(T) targets settles every row.
     """
     k = min(k, len(T))
     chunk = max(1, _TIE_CHUNK_ROWS * _TIE_K // k)
     for start in range(0, len(queries), chunk):
-        r = radii[start : start + chunk]
-        _fetch_ties(tree, Q, T, queries[start : start + chunk], r, best, k, float(r.max()))
+        reach = float(radii[start : start + chunk].max())
+        _fetch_ties(tree, Q, T, queries[start : start + chunk], best, k, reach)
 
 
-def _fetch_ties(tree, Q, T, rows, r, best, k, reach):
+def _fetch_ties(tree, Q, T, rows, best, k, reach):
     """Set best for rows from one query at k bounded just beyond reach.
 
-    r holds the rows' tie radii, none above reach, or is None to take each
-    from the row's own nearest candidate. Only rows whose radius times
-    1 + _TIE_RTOL is inside the bound, so that all their candidates within
-    it were fetched, are set; those whose k-th candidate is inside go on to
-    a counted pass. The bound is reach times (1 + _TIE_RTOL)**2, so a row
-    whose radius lies a rounding above reach is still set. Returns the mask
-    of rows set and the tied rows' radii.
+    Each row's list holds the targets inside the bound, up to k of them,
+    so its free is the lesser of its k-th distance and the bound, times
+    1 - _TIE_RTOL, or inf where it holds all of T; the rows the lists
+    settle are set (_settle_lists). A row left unsettled with all k
+    candidates inside the bound goes on to a counted pass, and any other
+    comes back unset. The bound is reach times (1 + _TIE_RTOL)**2,
+    so a tied row whose radius lies a rounding above reach is still set.
+    Returns the mask of rows set and the tied rows' radii.
     """
     # scipy keeps candidates whose squared distance is strictly below the
-    # squared bound: the margin keeps each radius inside it, and the floor
-    # keeps it above 0 where d0 is 0 or its square underflows
-    bound = max(reach * (1.0 + _TIE_RTOL) ** 2, 1e-150)
+    # squared bound; the floor keeps free at or above 1e-150 with its margin,
+    # where reach is 0 or its square underflows
+    bound = max(reach * (1.0 + _TIE_RTOL) ** 2, 2e-150)
     q = Q.take(rows, axis=0)
     dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
-    if r is None:
-        r = dist[:, 0] * (1.0 + _TIE_RTOL)
-    listed = r * (1.0 + _TIE_RTOL) <= bound  # d0 = inf, nothing fetched, fails
-    if not listed.all():
-        rows, q, r, dist, idx = (x.compress(listed, axis=0) for x in (rows, q, r, dist, idx))
-    # candidates beyond the bound come back as index len(T); every exact
-    # minimizer is inside the radius, where they all are real
-    inside = np.less_equal(dist.T, r, order="C")
-    best[rows] = _nearest_candidates(q, T, idx.T, inside)[0]
-    spill = inside[-1]
-    if k < len(T) and spill.any():
+    free = np.minimum(dist[:, -1], bound) * (1.0 - _TIE_RTOL)
+    if k >= len(T):
+        # a list that holds every target leaves none outside it
+        np.putmask(free, dist[:, len(T) - 1] < bound, np.inf)
+    found, nearest = _settle_lists(q, T, idx.T, free)[:2]
+    best[rows[found]] = nearest[found]
+    r = dist[:, 0] * (1.0 + _TIE_RTOL)
+    # a list of len(T) targets settles, so these rows have k < len(T)
+    spill = ~found & (dist[:, -1] < bound)
+    if spill.any():
         count = tree.query_ball_point(q[spill], r[spill], return_length=True)
         _resolve_ties(tree, Q, T, rows[spill], r[spill], best, max(int(count.max()) + 1, 2 * k + 1))
-    return listed, r[inside[1]]
+    done = found | spill
+    return done, r[done & (dist[:, 1] <= r)]

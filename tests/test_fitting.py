@@ -65,6 +65,10 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="epochs must be a whole number"):
             FitConfig(spec=L2, learning_rate=0.1, epochs=epochs)
 
+    def test_rejects_bool_epochs(self):
+        with pytest.raises(ValueError, match="epochs must be a whole number, got True"):
+            FitConfig(spec=L2, learning_rate=0.1, epochs=True)
+
     def test_rejects_non_integral_snapshot_epochs(self):
         with pytest.raises(ValueError, match="snapshot epoch must be a whole number, got 1.5"):
             FitConfig(spec=L2, learning_rate=0.1, epochs=5, snapshot_epochs=(0, 1.5))

@@ -205,6 +205,31 @@ def tie_passes(monkeypatch):
     return ks
 
 
+@pytest.fixture
+def bounded_chunks(monkeypatch):
+    """For each bounded chunk match_indexed fetches outside a tie pass, in
+    call order, the mask of its rows the fetch set."""
+    masks, passes = [], []
+    fetch, resolve = matching._fetch_ties, matching._resolve_ties
+
+    def in_pass(*args):
+        passes.append(args[-1])
+        try:
+            resolve(*args)
+        finally:
+            passes.pop()
+
+    def spy(*args):
+        done, tied = fetch(*args)
+        if not passes:
+            masks.append(done.tolist())
+        return done, tied
+
+    monkeypatch.setattr(matching, "_resolve_ties", in_pass)
+    monkeypatch.setattr(matching, "_fetch_ties", spy)
+    return masks
+
+
 class TestTieResolution:
     def test_shifted_3d_lattice_takes_a_second_pass(self):
         # interior cell centres are equidistant from 8 lattice corners,
@@ -322,45 +347,54 @@ class TestTieResolution:
         # the k=2 query, a k=5 pass and the deep pass after the others
         assert tie_passes == [_TIE_K] + [65] * 6 + [_TIE_K, 65, 65]
 
-    @pytest.mark.parametrize("lift", [100.0, 3.87e-5])
-    def test_bounded_chunk_whose_rows_all_fall_back(self, monkeypatch, lift):
+    @pytest.mark.parametrize("lift", [100.0, 5e-5])
+    def test_bounded_chunk_whose_rows_all_fall_back(self, monkeypatch, bounded_chunks, lift):
         # 4 rows at the centre of a unit square tie 4 ways, so the next chunk
-        # of 4 takes one k=5 query bounded by their tie radius. Lifted off the
-        # square, its rows lie beyond the bound (100), or inside it with a tie
-        # radius that is not (3.87e-5): none is settled, all take the k=2 path
+        # of 4 takes one k=5 query bounded just beyond their tie radius. Two
+        # more targets lie far from the square, so no list holds all of them.
+        # Lifted off the square, the chunk's rows lie beyond the bound (100),
+        # or inside it but not inside the list's free (5e-5): none is
+        # settled, all take the k=2 path
         monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 4)
-        bounded = []
-        inner = matching._fetch_ties
+        corners = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
+        target = PointCloud(corners + [[0.5, 0.5, 10.0], [0.0, 0.0, 10.0]])
+        queries = PointCloud([[0.5, 0.5, 0.0]] * 4 + [[0.5, 0.5, lift]] * 4)
+        bound = np.sqrt(0.5) * (1.0 + _TIE_RTOL) ** 3
+        d0 = np.sqrt(0.5 + lift * lift)
+        assert d0 >= bound * (1.0 - _TIE_RTOL)
+        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        # the first bounded chunk is the forward one
+        assert bounded_chunks[0] == [False] * 4
 
-        def spy(tree, Q, T, rows, r, *rest):
-            listed, tied = inner(tree, Q, T, rows, r, *rest)
-            if r is None:
-                bounded.append(listed.tolist())
-            return listed, tied
+    def test_bounded_chunk_holding_the_whole_target_settles(self, monkeypatch, bounded_chunks):
+        # as above, against the 4 corners alone: each list holds the whole
+        # target, so nothing lies outside it, and the chunk's rows, inside
+        # the bound but not inside bound * (1 - _TIE_RTOL), are settled from
+        # their lists with no k=2 query, though their tie radii exceed reach
+        monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 4)
+        queried = []
 
-        monkeypatch.setattr(matching, "_fetch_ties", spy)
+        class Counting(cKDTree):
+            def query(self, x, k=1, **kwargs):
+                queried.append((k, len(x)))
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(matching, "_kd_tree", lambda p: Counting(p, balanced_tree=False))
+        lift = 5e-5
         target = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         queries = PointCloud([[0.5, 0.5, 0.0]] * 4 + [[0.5, 0.5, lift]] * 4)
-        bound = np.sqrt(0.5) * (1.0 + _TIE_RTOL) ** 2
+        bound = np.sqrt(0.5) * (1.0 + _TIE_RTOL) ** 3
         d0 = np.sqrt(0.5 + lift * lift)
-        assert d0 * (1.0 + _TIE_RTOL) ** 2 > bound
+        assert bound * (1.0 - _TIE_RTOL) <= d0 < bound
         assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
-        assert bounded == [[False] * 4]
+        assert bounded_chunks == [[True] * 4]
+        # k=2 only for the first chunk of each direction, 4 rows each
+        assert sum(rows for k, rows in queried if k == 2) == 8
 
-    def test_bounded_chunks_of_a_shifted_grid_settle_every_row(self, monkeypatch):
+    def test_bounded_chunks_of_a_shifted_grid_settle_every_row(self, bounded_chunks):
         # the tie radii of a shifted grid differ by rounding alone, so a row's
         # radius can lie ulps above the previous chunk's largest; the bound
         # still fits it, and no row of a bounded chunk falls back
-        fell_back = []
-        inner = matching._fetch_ties
-
-        def spy(tree, Q, T, rows, r, *rest):
-            listed, tied = inner(tree, Q, T, rows, r, *rest)
-            if r is None:
-                fell_back.append(int((~listed).sum()))
-            return listed, tied
-
-        monkeypatch.setattr(matching, "_fetch_ties", spy)
         side = 128
         grid = gen_shape("plane-grid", side * side, seed=1).points
         half = 0.5 / (side - 1)
@@ -368,7 +402,7 @@ class TestTieResolution:
         a = PointCloud(grid[rng.permutation(side * side)])
         b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
         assert_matches_equal(match_indexed(a, b), match_brute(a, b))
-        assert len(fell_back) > 1 and sum(fell_back) == 0
+        assert len(bounded_chunks) > 1 and all(all(mask) for mask in bounded_chunks)
 
     def test_bounded_chunk_sends_spilled_rows_to_the_counted_pass(self, monkeypatch, tie_passes):
         # the corners of a unit square twice over: its centre ties 8 ways,
@@ -606,6 +640,40 @@ class TestMatcherAcrossCalls:
             cloud = PointCloud([[x, 0.0, 0.0]])
             assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
         assert matcher.match(cloud).fwd_idx.tolist() == [5]
+
+    def test_free_margin_covers_moves_lost_to_rounding(self):
+        # the point's list holds four near targets and one ahead at about
+        # 1.5, just off the axis; the 6th target lies on the axis, 2e-15
+        # farther. 100 steps of 1e-16 toward it each round free back to the
+        # same double, then one step brings the point within 1e-6 of the 6th
+        # target, which is then about 3e-15 nearer than the listed one.
+        # free, after that cancellation, lies about 1e-14 above its exact
+        # value and above both distances; only free's margin of 1.5e-9,
+        # fixed at the query, keeps the list from settling the point
+        near = [[0.01, y, 0.0] for y in (0.1, 0.2, 0.3, 0.4)]
+        target = PointCloud(near + [[1.51 - 2e-15, 1e-10, 0.0], [1.51, 0.0, 0.0]])
+        matcher = matching._Matcher(target)
+        for i, x in enumerate([*(0.01 + 1e-16 * np.arange(101)), 1.51 - 1e-6]):
+            cloud = PointCloud([[x, 0.0, 0.0]])
+            got = matcher.match(cloud)
+            assert_matches_equal(got, match_brute(cloud, target))
+            if i == 0:
+                assert matcher._fwd.cand[:, 0].tolist() == [0, 1, 2, 3, 4]
+        assert got.fwd_idx.tolist() == [5]
+
+    def test_keep_margin_covers_moves_lost_to_rounding(self):
+        # the point starts 1e-14 nearer target 0 than target 1, both about
+        # 1.5 away, and steps 100 times by 1e-16 toward target 1, which ends
+        # 1e-14 nearer. Each step rounds hi + move and lo - move back to the
+        # same doubles, so hi < lo holds throughout; only the keep test's
+        # margin sends the point to its list
+        target = PointCloud([[-(1.5 - 5e-15), 0.0, 0.0], [1.5 + 5e-15, 0.0, 0.0]])
+        matcher = matching._Matcher(target)
+        for x in 1e-16 * np.arange(101):
+            cloud = PointCloud([[x, 0.0, 0.0]])
+            got = matcher.match(cloud)
+            assert_matches_equal(got, match_brute(cloud, target))
+        assert got.fwd_idx.tolist() == [1]
 
 
 @seed(20261104)
