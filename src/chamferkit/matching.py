@@ -15,11 +15,11 @@ exact nearest target of its row, whether a tie pass has just fetched the
 list or fit stored it states ago. The list's candidates are scored
 exactly, in pair_sq's arithmetic, and free bounds from below the row's
 distance to every target outside the list. Where the list's best
-distance d has d < free and free >= 1e-150, so that outside points
-square to normal numbers and cannot tie with d by underflow, the lowest
-index among the list's exact minimizers is match_brute's. free carries
-the only margin: a kd distance times 1 - _TIE_RTOL, set when the list
-is fetched.
+distance d has d + _UNDERFLOW_ATOL < free, the lowest index among the
+list's exact minimizers is match_brute's. free carries the relative
+margin: a kd distance times 1 - _TIE_RTOL, set when the list is
+fetched. _UNDERFLOW_ATOL, 5e-162, covers distances whose squares
+underflow, and vanishes beside distances above about 1e-145.
 
 The kd-tree does not order equidistant candidates by index, so the
 accelerated route re-resolves every query whose two nearest candidates
@@ -28,10 +28,10 @@ tied rows, bounded just beyond the chunk's largest tie radius, whose
 lists the rule settles with free the k-th distance or the bound. Rows
 left unsettled with all k candidates inside the bound, where more
 candidates may tie beyond them, go through the same pass again with a
-larger k, sized from a count of the targets inside the tie radius. Ties
-cluster in leaf order, so after a chunk of rows more than half tied the
-next chunk takes that bounded query directly, and only the rows it
-leaves unsettled take the plain one.
+larger k, sized from a count of the targets inside the tie radius plus
+_UNDERFLOW_ATOL. Ties cluster in leaf order, so after a chunk of rows
+more than half tied the next chunk takes that bounded query directly,
+and only the rows it leaves unsettled take the plain one.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
 through one private matcher. It builds the target's tree once and
@@ -46,17 +46,18 @@ such move of any point. By the triangle inequality the call adds the
 bound to hi and subtracts it from lo and free, and the three stay
 bounds.
 
-A row with hi * (1 + _TIE_RTOL) < lo and lo >= 1e-150 has a unique
-nearest point, outside every tie radius, and it is the one match_brute
-returns: the row keeps its index without any work. Every other row is
-rescored from its candidate list by the rule, and a settled row takes
+A row with hi * (1 + _TIE_RTOL) + 2 * _UNDERFLOW_ATOL < lo has a
+unique nearest point, outside every tie radius, and it is the one
+match_brute returns: the row keeps its index without any work. Every
+other row is rescored from its candidate list by the rule, and a settled row takes
 hi = d and lo the lesser of the list's runner-up and free. Only rows
 whose list fails are queried again, once, at k = _TIE_K: the query
 gives a row its fresh list, with free its _TIE_K-th kd distance times
 1 - _TIE_RTOL, its kd nearest, and hi and lo its two nearest kd
 distances. A tied row is settled from that list by the rule, and one
-the list cannot settle (more than _TIE_K near-ties, or distances below
-1e-150) goes through the tie pass above. The moving cloud's tree is
+the list cannot settle (more than _TIE_K near-ties, or, where squares
+underflow, more than _TIE_K targets within _UNDERFLOW_ATOL of its
+nearest) goes through the tie pass above. The moving cloud's tree is
 built only when some target row needs a query. Squared distances are
 recomputed for all rows, so a warm-started match carries the bits of a
 fresh one.
@@ -75,6 +76,9 @@ _CHUNK_BYTES = 1 << 21  # scratch budget per brute-force row chunk, about L2 siz
 # A query whose runner-up lies within its tie radius d0 * (1 + _TIE_RTOL),
 # d0 its nearest distance, is a potential tie and is re-resolved exactly.
 _TIE_RTOL = 1e-9
+# An absolute margin on distances, for where their squares underflow; it
+# vanishes beside any distance above about 1e-145 (_settle_lists).
+_UNDERFLOW_ATOL = 5e-162
 
 # Candidates fetched per tied query in the first tie pass. A plane grid
 # queried from its half-spacing shift ties 4 ways, so all of the first 4
@@ -294,11 +298,11 @@ class _Rows:
         outside every tie radius and is match_brute's. The factor is this
         test's own margin: it covers kd rounding in a lo taken from a
         query's runner-up, which has no margin, unlike free, and the
-        rounding that moves add to hi and lo. Below lo = 1e-150 distances
-        lose their relative accuracy.
+        rounding that moves add to hi and lo. Where squares underflow, hi
+        and lo each carry a computed distance to the current squares, so
+        the test takes _UNDERFLOW_ATOL once for each (_settle_lists).
         """
-        keep = self.hi * (1.0 + _TIE_RTOL) < self.lo
-        keep &= self.lo >= 1e-150
+        keep = self.hi * (1.0 + _TIE_RTOL) + 2 * _UNDERFLOW_ATOL < self.lo
         return order[~keep[order]]
 
     def rescore(self, Q, T, rows):
@@ -339,8 +343,6 @@ class _Rows:
         tied go through the tie pass. The order, a leaf order of Q's rows,
         changes the speed, never the result.
         """
-        if not len(order):
-            return
         if self.idx is None:
             self.idx = np.empty(len(Q), dtype=np.int64)
         step = len(order) if self.record else _TIE_CHUNK_ROWS
@@ -351,29 +353,30 @@ class _Rows:
             if reach:
                 done, tied = _fetch_ties(tree, Q, T, rows, self.idx, _TIE_K, reach)
                 rows = rows[~done]
-            # a one-point target reports its missing runner-up at distance inf,
-            # so none of its rows reads as tied; a target of fewer than _TIE_K
-            # points pads a list with index len(T) at distance inf, so the list
-            # holds every target
-            dist, idx = tree.query(Q.take(rows, axis=0), k=_TIE_K if self.record else 2)
-            self.idx[rows] = idx[:, 0]
-            # a runner-up inside the tie radius marks an exact tie or a near-tie the
-            # tree may have ordered by its own rounding; 1e-9 is far above kd error
-            radii = dist[:, 0] * (1.0 + _TIE_RTOL)
-            ambiguous = np.flatnonzero(dist[:, 1] <= radii)
-            # the span's last chunk decides: bounded after ties, else twice as long
-            tied = np.concatenate([tied, radii[ambiguous[ambiguous >= len(rows) - step]]])
+            if len(rows):
+                # a one-point target reports its missing runner-up at distance inf,
+                # so none of its rows reads as tied; a target of fewer than _TIE_K
+                # points pads a list with index len(T) at distance inf, so the list
+                # holds every target
+                dist, idx = tree.query(Q.take(rows, axis=0), k=_TIE_K if self.record else 2)
+                self.idx[rows] = idx[:, 0]
+                # a runner-up inside the tie radius marks an exact tie or a near-tie the
+                # tree may have ordered by its own rounding; 1e-9 is far above kd error
+                radii = dist[:, 0] * (1.0 + _TIE_RTOL)
+                ambiguous = np.flatnonzero(dist[:, 1] <= radii)
+                # the span's last chunk decides: bounded after ties, else twice as long
+                tied = np.concatenate([tied, radii[ambiguous[ambiguous >= len(rows) - step]]])
+                if self.record:
+                    self.cand[:, rows] = idx.T
+                    # the margin covers kd rounding and the moves' (_settle_lists)
+                    self.free[rows] = dist[:, -1] * (1.0 - _TIE_RTOL)
+                    self.hi[rows], self.lo[rows] = dist[:, :2].T
+                    ambiguous = ambiguous[~self.rescore(Q, T, rows[ambiguous])]
+                del dist, idx
+                if len(ambiguous):
+                    _resolve_ties(tree, Q, T, rows[ambiguous], radii[ambiguous], self.idx, _TIE_K)
             reach = float(tied.max()) if 2 * len(tied) > step else 0.0
             span = step if reach else 2 * span
-            if self.record:
-                self.cand[:, rows] = idx.T
-                # the margin covers kd rounding and the moves' (_settle_lists)
-                self.free[rows] = dist[:, -1] * (1.0 - _TIE_RTOL)
-                self.hi[rows], self.lo[rows] = dist[:, :2].T
-                ambiguous = ambiguous[~self.rescore(Q, T, rows[ambiguous])]
-            del dist, idx
-            if len(ambiguous):
-                _resolve_ties(tree, Q, T, rows[ambiguous], radii[ambiguous], self.idx, _TIE_K)
 
 
 def _settle_lists(q, T, cand, free):
@@ -383,18 +386,34 @@ def _settle_lists(q, T, cand, free):
     cand is (k, len(q)), candidate-major, so that the reductions over
     candidates run along contiguous rows; the padding index len(T) scores
     inf. free bounds from below each row's distance to every target outside
-    its list. Where the list's best distance d has d < free and
-    free >= 1e-150, every exact minimizer is in the list, and the lowest
-    index among them is match_brute's; at or above 1e-150 outside squares
-    are normal numbers, so no outside point ties with d by underflow.
+    its list. Where the list's best distance d has
+    d + _UNDERFLOW_ATOL < free, every exact minimizer is in the list, and
+    the lowest index among them is match_brute's.
 
-    The test has no margin of its own: free carries it. Each free starts
-    as a kd distance times 1 - _TIE_RTOL, an absolute margin of _TIE_RTOL
-    times the distance at the query, fixed from then on. It covers kd
-    rounding, and also the rounding that each free -= move adds, at most
-    about 2**-53 times that distance per move. A factor on d would scale
-    with the current distance instead, and where moves shrink free by
+    The test has no relative margin of its own: free carries it. Each free
+    starts as a kd distance times 1 - _TIE_RTOL, an absolute margin of
+    _TIE_RTOL times the distance at the query, fixed from then on. It
+    covers kd rounding, and also the rounding that each free -= move adds,
+    at most about 2**-53 times that distance per move. A factor on d would
+    scale with the current distance instead, and where moves shrink free by
     cancellation it falls below that rounding.
+
+    _UNDERFLOW_ATOL is the absolute margin for where squares underflow. A
+    squared distance summed from three squares, here or by scipy, lies
+    within 1.5 u of the exact square, u = 2**-1074, besides relative
+    rounding: each square rounds by at most u/2 where it is subnormal, and
+    sums of subnormals are exact. scipy also rounds a bounded query's
+    squared bound, by u/2, so the square of a fresh free lies within 2 u of
+    a lower bound on the exact squares outside the list. A bound set from
+    one computed distance, whose square errs by at most a**2, and moved
+    since by bounds on the moves, errs against a distance computed now,
+    whose square errs by at most b**2, by at most sqrt(a**2 + b**2), its
+    error where nothing has moved. For free against an outside target that
+    is sqrt(3.5 u), about 4.2e-162, which the margin of 5e-162 covers. The
+    keep test (_Rows.stale) carries two such bounds, hi and lo, and so
+    takes the margin twice. Beside a distance above about 1e-145 the margin
+    is below half an ulp and the sum rounds it away, so there the test is
+    the plain d < free.
 
     Returns the mask of settled rows, each row's lowest-index nearest
     candidate and its distance d, and the (k, len(q)) squared distances,
@@ -411,7 +430,7 @@ def _settle_lists(q, T, cand, free):
     low = sq.min(axis=0)
     np.putmask(j, sq != low, len(T))
     d = np.sqrt(low)
-    return (d < free) & (free >= 1e-150), j.min(axis=0), d, sq
+    return d + _UNDERFLOW_ATOL < free, j.min(axis=0), d, sq
 
 
 def _resolve_ties(tree, Q, T, queries, radii, best, k):
@@ -440,15 +459,18 @@ def _fetch_ties(tree, Q, T, rows, best, k, reach):
     so its free is the lesser of its k-th distance and the bound, times
     1 - _TIE_RTOL, or inf where it holds all of T; the rows the lists
     settle are set (_settle_lists). A row left unsettled with all k
-    candidates inside the bound goes on to a counted pass, and any other
-    comes back unset. The bound is reach times (1 + _TIE_RTOL)**2,
-    so a tied row whose radius lies a rounding above reach is still set.
-    Returns the mask of rows set and the tied rows' radii.
+    candidates inside the bound goes on to a counted pass, sized from the
+    targets within its tie radius plus _UNDERFLOW_ATOL, which its list
+    must hold to settle it; any other comes back unset. The bound is
+    (reach + 2 * _UNDERFLOW_ATOL) times (1 + _TIE_RTOL)**2, so that a
+    tied row whose radius lies a rounding above reach is still set, and
+    a list of every target inside the bound settles its row even where
+    reach squares to 0. Returns the mask of rows set and the tied rows'
+    radii.
     """
     # scipy keeps candidates whose squared distance is strictly below the
-    # squared bound; the floor keeps free at or above 1e-150 with its margin,
-    # where reach is 0 or its square underflows
-    bound = max(reach * (1.0 + _TIE_RTOL) ** 2, 2e-150)
+    # squared bound, which it rounds (_settle_lists)
+    bound = (reach + 2 * _UNDERFLOW_ATOL) * (1.0 + _TIE_RTOL) ** 2
     q = Q.take(rows, axis=0)
     dist, idx = tree.query(q, k=k, distance_upper_bound=bound)
     free = np.minimum(dist[:, -1], bound) * (1.0 - _TIE_RTOL)
@@ -461,7 +483,7 @@ def _fetch_ties(tree, Q, T, rows, best, k, reach):
     # a list of len(T) targets settles, so these rows have k < len(T)
     spill = ~found & (dist[:, -1] < bound)
     if spill.any():
-        count = tree.query_ball_point(q[spill], r[spill], return_length=True)
+        count = tree.query_ball_point(q[spill], r[spill] + _UNDERFLOW_ATOL, return_length=True)
         _resolve_ties(tree, Q, T, rows[spill], r[spill], best, max(int(count.max()) + 1, 2 * k + 1))
     done = found | spill
     return done, r[done & (dist[:, 1] <= r)]

@@ -372,6 +372,22 @@ class TestMatchingAcrossEpochs:
             for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
                 assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_tiny_shifted_grid_every_epoch_equals_brute(self, scale):
+        # a grid fit onto itself shifted half a spacing: every row ties 4
+        # ways, and at these scales the squared distances are subnormal or 0
+        side = 32
+        grid = gen_shape("plane-grid", side * side, seed=0).points
+        half = 0.5 / (side - 1)
+        initial = PointCloud(grid * scale)
+        target = PointCloud((grid + [half, half, 0.0]) * scale)
+        config = FitConfig(spec=L2, learning_rate=0.05, epochs=3, snapshot_epochs=range(4))
+        traj = fit(initial, target, config)
+        for _, cloud, match in traj.snapshots:
+            expected = match_brute(cloud, target)
+            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+                assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
+
 
 class TestExportCorrespondences:
     def test_writes_one_csv_per_snapshot(self, tmp_path, capsys):

@@ -230,6 +230,21 @@ def bounded_chunks(monkeypatch):
     return masks
 
 
+@pytest.fixture
+def kd_slots(monkeypatch):
+    """(k, rows) of every kd query match_indexed makes, in call order: each
+    query fetches k candidate slots for each of its rows."""
+    queries = []
+
+    class Counting(cKDTree):
+        def query(self, x, k=1, **kwargs):
+            queries.append((k, len(x)))
+            return super().query(x, k=k, **kwargs)
+
+    monkeypatch.setattr(matching, "_kd_tree", lambda p: Counting(p, balanced_tree=False))
+    return queries
+
+
 class TestTieResolution:
     def test_shifted_3d_lattice_takes_a_second_pass(self):
         # interior cell centres are equidistant from 8 lattice corners,
@@ -403,6 +418,36 @@ class TestTieResolution:
         b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
         assert_matches_equal(match_indexed(a, b), match_brute(a, b))
         assert len(bounded_chunks) > 1 and all(all(mask) for mask in bounded_chunks)
+
+    def test_bounded_chunk_that_sets_every_row_makes_no_empty_query(self, bounded_chunks, kd_slots):
+        # each bounded chunk of a shifted grid sets all of its rows, which
+        # leaves none for the k=2 query
+        side = 64
+        grid = gen_shape("plane-grid", side * side, seed=0).points
+        half = 0.5 / (side - 1)
+        rng = np.random.default_rng(26)
+        a = PointCloud(grid[rng.permutation(side * side)])
+        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert len(bounded_chunks) > 1 and all(all(mask) for mask in bounded_chunks)
+        assert all(rows for k, rows in kd_slots)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-152, 1e-160])
+    def test_shifted_grid_work_is_bounded_at_every_scale(self, kd_slots, scale):
+        # every row of a shifted grid ties 4 ways; below about 1e-150 the
+        # distances square to subnormals or 0, where a list settles only
+        # once it holds every target within the underflow margin, a few
+        # dozen of them. A match fetches a bounded number of candidates per
+        # row at every scale, and never climbs towards k = len(T)
+        side = 32
+        n = side * side
+        grid = gen_shape("plane-grid", n, seed=0).points
+        half = 0.5 / (side - 1)
+        rng = np.random.default_rng(27)
+        a = PointCloud(grid[rng.permutation(n)] * scale)
+        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)] * scale)
+        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert sum(k * rows for k, rows in kd_slots) <= 20 * n * _TIE_K
 
     def test_bounded_chunk_sends_spilled_rows_to_the_counted_pass(self, monkeypatch, tie_passes):
         # the corners of a unit square twice over: its centre ties 8 ways,
@@ -626,6 +671,27 @@ class TestMatcherAcrossCalls:
             got = matcher.match(cloud)
             assert_matches_equal(got, match_brute(cloud, target))
             assert got.fwd_idx.tolist() == [nearest]
+
+    def test_keep_rule_takes_the_underflow_margin_twice(self):
+        # u = 2**-1074. Target 1 lies at (-a, -a, -a), each square just
+        # under u/2, and target 0 at (b, b, b), each square just over 1.5 u,
+        # so from the origin they square to 0 and 6 u. A step of 9e-165
+        # along the diagonal rounds every square the other way, to 3 u for
+        # both targets, a tie that goes to target 0. hi grew from 0 and lo
+        # fell from sqrt(6 u), about 5.4e-162, by the step alone: a margin
+        # of _UNDERFLOW_ATOL, once, keeps target 1; only twice that sends
+        # the point to its list
+        u = 2.0**-1074
+        a = np.sqrt(u) / np.sqrt(2.0) * (1.0 - 1e-3)
+        b = np.sqrt(u) * np.sqrt(1.5) * (1.0 + 1e-3)
+        target = PointCloud([[b, b, b], [-a, -a, -a]])
+        matcher = matching._Matcher(target)
+        for x, nearest in ((0.0, 1), (9e-165, 0)):
+            cloud = PointCloud([[x, x, x]])
+            got = matcher.match(cloud)
+            assert_matches_equal(got, match_brute(cloud, target))
+            assert got.fwd_idx.tolist() == [nearest]
+        assert got.fwd_sq.tolist() == [3 * u]
 
     def test_runner_up_capped_by_list_radius(self):
         # the point's list holds its 5 nearest targets, one ahead at 0.35 and
