@@ -1,9 +1,11 @@
 """Wall-clock benchmark of full set-distance evaluations.
 
 Times the whole pipeline per kind (matching, transform, aggregation) on
-shared random cloud pairs. Rounds are interleaved: every configuration
-runs once per round, so machine-load drift lands on all of them equally
-rather than biasing whichever ran last.
+shared random cloud pairs. A cloud keeps its kd-tree once matched, so
+each timed full call takes fresh copies of the pair, made outside the
+timer, and builds both trees itself. Rounds are interleaved: every
+configuration runs once per round, so machine-load drift lands on all of
+them equally rather than biasing whichever ran last.
 """
 
 from __future__ import annotations
@@ -78,32 +80,33 @@ def run_bench(
             raise ValueError(f"unknown bench kind {kind!r}, expected one of {BENCH_KINDS}")
 
     rng = np.random.default_rng(seed)
-    configs = []  # (kind, phase, n, callable)
+    configs = []  # (kind, phase, n, callable on the pair, pair)
     for n in sizes:
-        a = _bench_cloud(rng, n)
-        b = _bench_cloud(rng, n)
-        shared_match = match_indexed(a, b)
+        pair = (_bench_cloud(rng, n), _bench_cloud(rng, n))
+        shared_match = match_indexed(*pair)
         for kind in kinds:
             if kind == "poincare":
-                configs.append((kind, "full", n, lambda a=a, b=b: chamfer_poincare(a, b)))
+                configs.append((kind, "full", n, chamfer_poincare, pair))
             else:
                 spec = TransformSpec(kind)
-                configs.append((kind, "full", n, lambda a=a, b=b, s=spec: chamfer(a, b, s)))
+                configs.append((kind, "full", n, lambda a, b, s=spec: chamfer(a, b, s), pair))
                 configs.append(
-                    (kind, "transform", n, lambda a=a, b=b, s=spec, m=shared_match: chamfer(a, b, s, m))
+                    (kind, "transform", n, lambda a, b, s=spec, m=shared_match: chamfer(a, b, s, m), pair)
                 )
 
     samples: list[list[float]] = [[] for _ in configs]
     for round_no in range(warmup + repeats):
-        for slot, (_, _, _, fn) in enumerate(configs):
+        for slot, (_, phase, _, fn, (a, b)) in enumerate(configs):
+            if phase == "full":
+                a, b = PointCloud(a.points), PointCloud(b.points)
             t0 = time.perf_counter()
-            fn()
+            fn(a, b)
             dt = time.perf_counter() - t0
             if round_no >= warmup:
                 samples[slot].append(dt)
 
     entries = []
-    for (kind, phase, n, _), times in zip(configs, samples):
+    for (kind, phase, n, _, _), times in zip(configs, samples):
         arr = np.array(times)
         entries.append(
             BenchEntry(

@@ -72,9 +72,13 @@ class PointCloud:
     Point order carries no geometric meaning; it only anchors the indices
     reported by the matchers. Coordinates are dimensionless and nothing in
     this library rescales a cloud implicitly.
+
+    The matcher keeps a cloud's kd-tree on it, built on first use: about
+    22 bytes per point beside the points' 24. Pickles and copies carry
+    the points alone.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("_points", "_tree")
 
     def __init__(self, points):
         pts = np.array(points, dtype=np.float64, copy=True)
@@ -84,7 +88,16 @@ class PointCloud:
             raise ValueError("point cloud must contain at least one point")
         check_coord_range("point cloud", pts, "point cloud contains non-finite coordinates")
         pts.setflags(write=False)
-        self.points = pts
+        self._points = pts
+        self._tree = None  # set by matching._tree_of
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, 3) float64 coordinates, read-only."""
+        return self._points
+
+    def __reduce__(self):
+        return PointCloud, (self._points,)
 
     def __len__(self) -> int:
         return self.points.shape[0]

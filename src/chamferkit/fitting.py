@@ -74,11 +74,12 @@ def fit(initial: PointCloud, target: PointCloud, config: FitConfig) -> FitTrajec
 
     Matches and scores each of the states 0..epochs; every state but the
     last then takes the update movable -= lr * grad. One matcher serves
-    the whole run: it builds the target's kd-tree once and re-queries
-    only the rows it cannot settle from earlier states, by the rules in
-    chamferkit.matching, so every match equals match_indexed's, bit for
-    bit. Raises DivergenceError the moment the loss leaves the finite
-    range or any coordinate leaves PointCloud's range |x| <= MAX_ABS_COORD.
+    the whole run: it takes the kd-tree the target keeps, built on its
+    first match, and re-queries only the rows it cannot settle from
+    earlier states, by the rules in chamferkit.matching, so every match
+    equals match_indexed's, bit for bit. Raises DivergenceError the
+    moment the loss leaves the finite range or any coordinate leaves
+    PointCloud's range |x| <= MAX_ABS_COORD.
     Deterministic: same inputs, same trajectory.
     """
     wanted = set(config.snapshot_epochs)
@@ -140,12 +141,13 @@ def sweep_alpha_lr(
 ) -> SweepResult:
     """Grid of hyperbolic (beta = 2) fits over alpha x learning rate.
 
-    Each cell runs an independent fit from the same initial cloud and
-    records the final plain-l1 chamfer value, the common currency for
-    comparing runs trained under different alphas. An alpha TransformSpec
-    rejects, or epochs FitConfig rejects, raises ValueError before any
-    cell runs; divergent cells, and cells with an invalid learning rate,
-    become NaN instead of aborting the sweep.
+    Each cell runs an independent fit from the same initial cloud, all
+    on the one kd-tree the target keeps, and records the final plain-l1
+    chamfer value, the common currency for comparing runs trained under
+    different alphas. An alpha TransformSpec rejects, or epochs FitConfig
+    rejects, raises ValueError before any cell runs; divergent cells, and
+    cells with an invalid learning rate, become NaN instead of aborting
+    the sweep.
     """
     alphas = tuple(float(a) for a in alphas)
     learning_rates = tuple(float(lr) for lr in learning_rates)

@@ -6,9 +6,11 @@ index and store squared distances computed with the same arithmetic,
 one coordinate at a time in the order (dx*dx + dy*dy) + dz*dz, so their
 results are bit-identical; tests hold them to that.
 
-The accelerated route builds a sliding-midpoint kd-tree on each cloud
-and queries the rows of one cloud in the leaf order of its own tree, so
-consecutive queries descend to neighbouring leaves of the other.
+The accelerated route takes one sliding-midpoint kd-tree per cloud,
+built once and kept by the cloud (_tree_of), and queries the rows of one
+cloud in the leaf order of its own tree, so consecutive queries descend
+to neighbouring leaves of the other. Every later match of the cloud, in
+either direction and against any other cloud, reuses the tree.
 
 One rule, _settle_lists, decides whether a candidate list holds every
 exact nearest target of its row, whether a tie pass has just fetched the
@@ -34,7 +36,7 @@ more than half tied the next chunk takes that bounded query directly,
 and only the rows it leaves unsettled take the plain one.
 
 fit matches a slowly moving cloud against one fixed target every epoch,
-through one private matcher. It builds the target's tree once and
+through one private matcher. It takes the target's tree once and
 keeps, for every row in each direction, its chosen index idx, its
 candidate list (the _TIE_K nearest targets of its last kd query) with
 its free, and two more running bounds: hi, an upper bound on the
@@ -58,7 +60,7 @@ distances. A tied row is settled from that list by the rule, and one
 the list cannot settle (more than _TIE_K near-ties, or, where squares
 underflow, more than _TIE_K targets within _UNDERFLOW_ATOL of its
 nearest) goes through the tie pass above. The moving cloud's tree is
-built only when some target row needs a query. Squared distances are
+taken only when some target row needs a query. Squared distances are
 recomputed for all rows, so a warm-started match carries the bits of a
 fresh one.
 """
@@ -174,6 +176,14 @@ def match_indexed(a: PointCloud, b: PointCloud) -> MatchResult:
     return _Matcher(b).match(a, last=True)
 
 
+def _tree_of(cloud: PointCloud):
+    """cloud's kd-tree, built on first use and kept by the cloud, whose
+    points cannot change."""
+    if cloud._tree is None:
+        cloud._tree = _kd_tree(cloud.points)
+    return cloud._tree
+
+
 def _kd_tree(points):
     # imported on the first kd build: scipy takes longer to import than
     # the rest of the package, and only this route needs it
@@ -187,25 +197,24 @@ def _kd_tree(points):
 class _Matcher:
     """match_indexed for successive states of one cloud against one target.
 
-    Built once per target, whose kd-tree it keeps. The first call queries
-    every row; each later call settles most rows without a query (see
-    _Rows.settle) and queries only the rest.
+    Built once per target; both trees are the clouds' own (_tree_of). The
+    first call queries every row; each later call settles most rows
+    without a query (see _Rows.settle) and queries only the rest.
     """
 
     def __init__(self, target: PointCloud):
         self._target = target.points
-        self._tree = _kd_tree(self._target)
+        self._tree = _tree_of(target)
         self._target_order = self._tree.indices
         self._cloud = None  # the points of the last call
-        self._order = None  # the leaf order of the last tree built on them
+        self._order = None  # the leaf order of the last tree taken on them
         self._fwd = self._bwd = None  # each direction's _Rows, made by the first call
 
     def match(self, cloud: PointCloud, last: bool = False) -> MatchResult:
         """match_indexed(cloud, target).
 
-        last: no call follows, so nothing is recorded for one, and the
-        target's tree is dropped before the backward pass, which keeps a
-        one-shot match's peak memory that of two trees.
+        last: no call follows, so nothing is recorded for one. The
+        trees stay with the clouds either way.
         """
         A, T = cloud.points, self._target
         if self._cloud is None:
@@ -217,18 +226,13 @@ class _Matcher:
             self._bwd.moved(move.max())
         self._cloud = A
         bwd_order = self._bwd.settle(T, A, self._target_order)
-        tree = None
         if len(bwd_order):
-            tree = _kd_tree(A)
-            self._order = tree.indices
+            self._order = _tree_of(cloud).indices
         self._fwd.requery(self._tree, A, T, self._fwd.settle(A, T, self._order))
-        fwd_idx = self._fwd.idx
+        if len(bwd_order):
+            self._bwd.requery(_tree_of(cloud), T, A, bwd_order)
+        fwd_idx, bwd_idx = self._fwd.idx, self._bwd.idx
         fwd_sq = pair_sq(A, T.take(fwd_idx, axis=0))
-        if last:
-            self._tree = None
-        if tree is not None:
-            self._bwd.requery(tree, T, A, bwd_order)
-        bwd_idx = self._bwd.idx
         return MatchResult(fwd_idx, fwd_sq, bwd_idx, pair_sq(T, A.take(bwd_idx, axis=0)))
 
 

@@ -1,6 +1,9 @@
+import time
+from types import SimpleNamespace
+
 import pytest
 
-from chamferkit import run_bench
+from chamferkit import bench, matching, run_bench
 
 
 class TestRunBenchValidation:
@@ -28,3 +31,32 @@ class TestRunBenchValidation:
         entry = report.entry("l2")
         assert (entry.n_a, entry.repeats) == (8, 3)
         assert type(entry.n_a) is int and type(entry.repeats) is int
+
+
+class TestRunBenchTimesTreeBuilds:
+    def test_each_timed_full_call_builds_both_trees(self, monkeypatch):
+        # a cloud keeps its tree once matched, so each timed full call of a
+        # kd kind takes fresh copies of its pair and builds two trees inside
+        # the timer; transform calls and the poincare scan build none
+        timed = []  # kd builds in each timed call, in call order
+        inside = False
+
+        def perf_counter():
+            nonlocal inside
+            inside = not inside
+            if inside:
+                timed.append(0)
+            return time.perf_counter()
+
+        real = matching._kd_tree
+
+        def counting(points):
+            if inside:
+                timed[-1] += 1
+            return real(points)
+
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=perf_counter))
+        monkeypatch.setattr(matching, "_kd_tree", counting)
+        run_bench(sizes=[64], kinds=("l2", "hyper", "poincare"), repeats=3, warmup=1)
+        # a round: l2 full and transform, hyper full and transform, poincare full
+        assert timed == [2, 0, 2, 0, 0] * 4

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from chamferkit import (
     displace_outliers,
     gen_shape,
     jitter_cloud,
+    match_indexed,
 )
 from chamferkit.cloud import BoundingBox, check_coord_range, partial_view_crop
 
@@ -57,6 +61,24 @@ class TestPointCloud:
         assert a == PointCloud([[1, 2, 3]])
         assert a != PointCloud([[1, 2, 4]])
         assert a != PointCloud([[1, 2, 3], [1, 2, 3]])
+
+    def test_points_cannot_be_reassigned(self):
+        # a cloud keeps its kd-tree, which must go on describing its points
+        c = PointCloud([[0, 0, 0]])
+        with pytest.raises(AttributeError):
+            c.points = np.ones((1, 3))
+        assert (c.points == 0.0).all()
+
+    @pytest.mark.parametrize(
+        "clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy]
+    )
+    def test_clones_carry_the_points_and_no_tree(self, clone):
+        c = gen_shape("sphere-surface", 64, seed=0)
+        match_indexed(c, c)
+        assert c._tree is not None
+        twin = clone(c)
+        assert twin == c and twin._tree is None
+        assert not twin.points.flags.writeable
 
 
 class TestAsPoint:

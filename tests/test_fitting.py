@@ -241,6 +241,20 @@ class TestMatchingAcrossEpochs:
         assert [np.array_equal(p, clean.points) for p in builds].count(True) == 1
         assert 2 <= len(builds) <= 12
 
+    def test_fits_and_sweep_cells_share_the_target_tree(self, builds):
+        # the target keeps its tree, so only the first fit on it builds one
+        noisy, clean = jittered_sphere(n=128)
+        configs = [FitConfig(spec=HYPER, learning_rate=lr, epochs=5) for lr in (0.02, 0.05)]
+        runs = [fit(noisy, clean, config) for config in configs]
+        sweep = sweep_alpha_lr(noisy, clean, [0.5, 1.0], [0.02, 0.05], epochs=5)
+        assert sweep.errors == {}
+        assert [np.array_equal(p, clean.points) for p in builds].count(True) == 1
+        # a fresh copy of the target builds its own tree, to the same bits
+        fresh = fit(noisy, PointCloud(clean.points), configs[1])
+        assert fresh.final_cloud == runs[1].final_cloud
+        assert fresh.losses.tobytes() == runs[1].losses.tobytes()
+        assert sweep.final_l1_cd[1, 1] == fresh.final_l1_cd
+
     def test_zero_learning_rate_builds_no_tree_after_epoch_0(self, builds):
         rng = np.random.default_rng(53)
         a = uniform_cloud(rng, 200)
@@ -280,8 +294,9 @@ class TestMatchingAcrossEpochs:
     def test_requery_queries_each_row_once(self, monkeypatch, layout):
         # a re-queried row takes one kd query, at k = _TIE_K, whose list
         # settles its tie where it can; no row takes a second, k = 2, query
-        # where more than _TIE_K points tie or distances are below 1e-150.
-        # Only the tie pass's bounded queries come on top.
+        # where more than _TIE_K points tie, nor where squares underflow and
+        # a list settles only beyond the underflow margin. Only the tie
+        # pass's bounded queries come on top.
         ks = []
         real = scipy.spatial.cKDTree
 
@@ -335,9 +350,10 @@ class TestMatchingAcrossEpochs:
         # rows are never kept; the lattice's cell centres and 8 copies of a
         # point tie with more targets than a candidate list holds; targets
         # of fewer than _TIE_K points pad every list; one-point clouds have
-        # no runner-up (d2 = inf); at 1e-155 every d2 is below the 1e-150
-        # floor. Snapshots are compared after the run, so a later epoch
-        # must also have left every earlier one as it was returned.
+        # no runner-up (d2 = inf); at 1e-155 every square is subnormal, where
+        # the list and keep tests take the underflow margin. Snapshots are
+        # compared after the run, so a later epoch must also have left every
+        # earlier one as it was returned.
         rng = np.random.default_rng(cloud_seed)
         n, m = (int(k) for k in rng.integers(1, 80, 2))
         initial, target = rng.uniform(0.0, 1.0, (n, 3)), rng.uniform(0.0, 1.0, (m, 3))

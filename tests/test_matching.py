@@ -11,12 +11,15 @@ from chamferkit import (
     MAX_ABS_COORD,
     MatchResult,
     PointCloud,
+    TransformSpec,
+    chamfer,
+    evaluate,
     gen_shape,
     match_brute,
     match_indexed,
     pair_sq,
 )
-from chamferkit import matching
+from chamferkit import evaluation, matching
 from chamferkit.matching import _TIE_CHUNK_ROWS, _TIE_K, _TIE_RTOL
 
 from testutil import mixed_cloud, snapped_cloud, sorted_nearest, uniform_cloud
@@ -183,6 +186,38 @@ class TestMatchIndexed:
         full = gen_shape("sphere-surface", 1024, seed=3)
         partial = PointCloud(full.points[256:])
         assert_matches_equal(match_indexed(partial, full), match_brute(partial, full))
+
+
+class TestTreeCache:
+    def test_each_cloud_builds_its_tree_once(self, monkeypatch):
+        # chamfer, evaluate and the reverse match_indexed all take the trees
+        # the clouds kept from the first match; every row of a shifted grid
+        # ties 4 ways, so the tie passes query the kept trees too
+        built, matches = [], []
+        real = matching._kd_tree
+        monkeypatch.setattr(matching, "_kd_tree", lambda p: built.append(p) or real(p))
+
+        def recording(x, y):
+            matches.append((x, y, match_indexed(x, y)))
+            return matches[-1][2]
+
+        monkeypatch.setattr(evaluation, "match_indexed", recording)
+        side = 32
+        grid = gen_shape("plane-grid", side * side, seed=0).points
+        half = 0.5 / (side - 1)
+        rng = np.random.default_rng(28)
+        a = PointCloud(grid[rng.permutation(side * side)])
+        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
+        matches.append((a, b, chamfer(a, b, TransformSpec("hyper")).match))
+        report = evaluate(a, b)
+        matches.append((b, a, match_indexed(b, a)))
+        assert sorted(map(id, built)) == sorted([id(a.points), id(b.points)])
+        assert len(matches) == 3
+        for x, y, got in matches:
+            expected = match_brute(x, y)
+            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+                assert getattr(got, f).tobytes() == getattr(expected, f).tobytes()
+        assert report == evaluate(PointCloud(a.points), PointCloud(b.points))
 
 
 def tied_rows(queries: PointCloud, target: PointCloud, k: int) -> np.ndarray:
@@ -659,11 +694,11 @@ class TestMatcherAcrossCalls:
             points = points + rng.uniform(-1.0, 1.0, points.shape) * step
 
     def test_keep_rule_floor(self):
-        # below 1e-150 squared distances are subnormal: the point's squares
-        # to the two targets are 3 and 5 units of 5e-324, so lo - move stays
-        # above hi + move after a step of 3e-163, yet both squares are then
-        # 4 units, a tie that goes to target 0; only the floor on lo stops
-        # the row keeping target 1
+        # below about 1.5e-154 squared distances are subnormal: the point's
+        # squares to the two targets are 3 and 5 units of 5e-324, so lo - move
+        # stays above hi + move after a step of 3e-163, yet both squares are
+        # then 4 units, a tie that goes to target 0; only the keep test's
+        # underflow margin stops the row keeping target 1
         target = PointCloud([[9e-162, 0.0, 0.0], [0.0, 0.0, 0.0]])
         matcher = matching._Matcher(target)
         for x, nearest in ((4e-162, 1), (4.3e-162, 0)):
