@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, _whole
+from .cloud import PointCloud, _one_of, _whole
 from .distances import TRANSFORM_KINDS, TransformSpec, chamfer, chamfer_poincare
 from .matching import match_indexed
 
@@ -63,12 +63,13 @@ def run_bench(
 ) -> BenchReport:
     """Benchmark each kind at each (n, n) size; returns mean and std per config.
 
-    sizes, repeats and warmup must be whole numbers. repeats below 3 would
+    sizes, repeats, warmup and seed must be whole numbers. repeats below 3 would
     make the spread estimate meaningless and is rejected. Warmup rounds run
     the full schedule but are discarded.
     """
     sizes = [_whole("size", n) for n in sizes]
     repeats, warmup = _whole("repeats", repeats), _whole("warmup", warmup)
+    seed = _whole("seed", seed)
     if not sizes or any(n < 1 for n in sizes):
         raise ValueError("sizes must be positive")
     if repeats < MIN_REPEATS:
@@ -76,8 +77,7 @@ def run_bench(
     if warmup < 1:
         raise ValueError("at least one warmup round is required")
     for kind in kinds:
-        if kind not in BENCH_KINDS:
-            raise ValueError(f"unknown bench kind {kind!r}, expected one of {BENCH_KINDS}")
+        _one_of("bench kind", kind, BENCH_KINDS)
 
     rng = np.random.default_rng(seed)
     configs = []  # (kind, phase, n, callable on the pair, pair)

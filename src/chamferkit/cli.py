@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .cloud import MAX_ABS_COORD, SHAPE_KINDS, gen_shape, partial_view_crop
+from .cloud import MAX_ABS_COORD, SHAPE_KINDS, _positive, gen_shape, partial_view_crop
 from .distances import TRANSFORM_KINDS, TransformSpec, chamfer, chamfer_poincare
 from .evaluation import THRESHOLD_MODES, evaluate
 from .fitting import DivergenceError, FitConfig, fit, sweep_alpha_lr
@@ -49,18 +49,12 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _scale_display(args) -> float:
-    if not 0 < args.scale_display < np.inf:  # NaN fails too
-        raise ValueError(f"--scale-display must be positive and finite, got {args.scale_display}")
-    return args.scale_display
-
-
 def _spec_from_args(args) -> TransformSpec:
     return TransformSpec(args.kind, alpha=args.alpha, beta=args.beta)
 
 
 def cmd_distance(args) -> int:
-    s = _scale_display(args)
+    s = _positive("--scale-display", args.scale_display)
     a = read_cloud(args.file_a, args.format)
     b = read_cloud(args.file_b, args.format)
     if args.kind == "poincare":
@@ -162,7 +156,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    s = _scale_display(args)
+    s = _positive("--scale-display", args.scale_display)
     pred = read_cloud(args.file_pred, args.format)
     gt = read_cloud(args.file_gt, args.format)
     report = evaluate(
@@ -259,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-normalize",
         action="store_true",
-        help="omit the normalized-derivative column",
+        help="leave the normalized-derivative column empty",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_curves)

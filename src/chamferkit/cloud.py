@@ -37,6 +37,19 @@ def _whole(name: str, value) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _positive(name: str, value):
+    """value unchanged; ValueError unless it is positive and finite."""
+    if not 0 < value < np.inf:  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _one_of(name: str, value, choices: tuple) -> None:
+    """ValueError unless value is one of choices."""
+    if value not in choices:
+        raise ValueError(f"unknown {name} {value!r}, expected one of {choices}")
+
+
 def check_coord_range(name: str, points: np.ndarray, nonfinite: str | None = None) -> None:
     """Raise ValueError unless every coordinate of points is within MAX_ABS_COORD in magnitude.
 
@@ -158,11 +171,11 @@ def gen_shape(kind: str, n: int, seed: int) -> PointCloud:
     'l-bracket' two unit plates joined at a right angle. Same (kind, n,
     seed) always yields the same cloud.
     """
-    if kind not in SHAPE_KINDS:
-        raise ValueError(f"unknown shape kind {kind!r}, expected one of {SHAPE_KINDS}")
+    _one_of("shape kind", kind, SHAPE_KINDS)
+    n = _whole("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole("seed", seed))
 
     if kind == "sphere-surface":
         v, norms = _directions(rng, n)
@@ -209,6 +222,7 @@ def partial_view_crop(cloud: PointCloud, viewpoint, k: int) -> PointCloud:
     n = len(cloud)
     if n == 1:
         raise ValueError("a one-point cloud cannot be cropped: no point would be left")
+    k = _whole("k", k)
     if not 1 <= k < n:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     # stable sort makes equal distances come out in index order
@@ -222,7 +236,7 @@ def jitter_cloud(cloud: PointCloud, sigma: float, seed: int) -> PointCloud:
     """Add isotropic Gaussian noise with standard deviation sigma per axis."""
     if not 0 <= sigma < np.inf:  # NaN fails too
         raise ValueError(f"sigma must be finite and non-negative, got {sigma!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole("seed", seed))
     return PointCloud(cloud.points + rng.normal(0.0, sigma, size=cloud.points.shape))
 
 
@@ -238,11 +252,10 @@ def displace_outliers(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    if not 0 < distance < np.inf:  # NaN fails too
-        raise ValueError(f"distance must be positive and finite, got {distance!r}")
+    _positive("distance", distance)
     n = len(cloud)
     count = max(1, round(fraction * n))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole("seed", seed))
     idx = np.sort(rng.choice(n, size=count, replace=False))
     dirs, norms = _directions(rng, count)
     pts = cloud.points.copy()

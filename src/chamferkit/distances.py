@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, as_point, pair_sq
+from .cloud import PointCloud, _one_of, as_point, pair_sq
 from .matching import MatchResult, _argmin_both, match_indexed
 
 TRANSFORM_KINDS = ("l1", "l2", "exp", "hyper")
@@ -67,8 +67,7 @@ class TransformSpec:
     beta: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}, expected one of {TRANSFORM_KINDS}")
+        _one_of("transform kind", self.kind, TRANSFORM_KINDS)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         if self.kind in ("exp", "hyper"):

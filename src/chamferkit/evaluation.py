@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cloud import PointCloud, bounding_box
+from .cloud import PointCloud, _one_of, _positive, bounding_box
 from .distances import TransformSpec, chamfer
 from .matching import MatchResult, match_indexed
 
@@ -39,8 +39,7 @@ def fscore(
     strictly closer than the threshold; recall the same for b against a.
     Returns 0 when both are 0. Ranges over [0, 1], higher is better.
     """
-    if not 0 < threshold < np.inf:  # NaN fails too
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    _positive("threshold", threshold)
     if match is None:
         match = match_indexed(a, b)
     precision = float(np.mean(np.sqrt(match.fwd_sq) < threshold))
@@ -75,12 +74,8 @@ def evaluate(
     box diagonal (the default 1.0 means 1 percent), which keeps scores
     comparable across differently sized scenes.
     """
-    if threshold_mode not in THRESHOLD_MODES:
-        raise ValueError(
-            f"unknown threshold_mode {threshold_mode!r}, expected one of {THRESHOLD_MODES}"
-        )
-    if not 0 < threshold < np.inf:  # NaN fails too
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
+    _one_of("threshold_mode", threshold_mode, THRESHOLD_MODES)
+    _positive("threshold", threshold)
     if threshold_mode == "percent":
         diag = bounding_box(gt).diagonal
         if diag <= 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _positive
 from .distances import TransformSpec, chamfer, transform, transform_derivative
 from .matching import MatchResult, match_brute, match_indexed
 
@@ -78,8 +78,7 @@ def finite_diff_gradient(
     sees the true loss landscape rather than a fixed correspondence.
     O(n * m * n) and meant for tests, not training loops.
     """
-    if not 0 < h < np.inf:  # NaN fails too
-        raise ValueError(f"step h must be positive and finite, got {h!r}")
+    _positive("step h", h)
     base = movable.points
 
     def value(pts: np.ndarray) -> float:

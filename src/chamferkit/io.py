@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .cloud import PointCloud
+from .cloud import PointCloud, _one_of
 
 FORMATS = ("xyz", "ply-ascii")
 
@@ -64,8 +64,7 @@ def _resolve_format(path, format: str | None) -> str:
             raise ValueError(
                 f"cannot infer format from {path!r}; pass format='xyz' or 'ply-ascii'"
             )
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    _one_of("format", format, FORMATS)
     return format
 
 

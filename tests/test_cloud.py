@@ -7,14 +7,21 @@ import pytest
 from chamferkit import (
     MAX_ABS_COORD,
     PointCloud,
+    TransformSpec,
     as_point,
     bounding_box,
     displace_outliers,
+    evaluate,
+    finite_diff_gradient,
+    fscore,
     gen_shape,
     jitter_cloud,
     match_indexed,
+    read_cloud,
+    run_bench,
 )
-from chamferkit.cloud import BoundingBox, check_coord_range, partial_view_crop
+from chamferkit.cli import build_parser
+from chamferkit.cloud import SHAPE_KINDS, BoundingBox, check_coord_range, partial_view_crop
 
 
 class TestPointCloud:
@@ -271,3 +278,129 @@ class TestJitterAndOutliers:
         for distance in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="distance"):
                 displace_outliers(c, 0.5, distance, seed=0)
+
+
+def _cli_call(*argv):
+    """Run one CLI subcommand's function, so its ValueError propagates."""
+    args = build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+_PAIR = (PointCloud([[0, 0, 0], [1, 0, 0]]), PointCloud([[0, 1, 0], [1, 1, 0]]))
+
+
+class TestArgumentRules:
+    """Each argument rule is written once in cloud.py; every entry point
+    that uses it raises the same message, pinned here byte for byte."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: fscore(*_PAIR, 0.0),
+                "threshold must be positive and finite, got 0.0",
+                id="fscore",
+            ),
+            pytest.param(
+                lambda: evaluate(*_PAIR, threshold=-1),
+                "threshold must be positive and finite, got -1",
+                id="evaluate-threshold",
+            ),
+            pytest.param(
+                lambda: finite_diff_gradient(*_PAIR, TransformSpec("l2"), h=0.0),
+                "step h must be positive and finite, got 0.0",
+                id="finite_diff_gradient",
+            ),
+            pytest.param(
+                lambda: displace_outliers(_PAIR[0], 0.5, np.nan, seed=0),
+                "distance must be positive and finite, got nan",
+                id="displace_outliers",
+            ),
+            pytest.param(
+                lambda: _cli_call("distance", "a.xyz", "b.xyz", "--scale-display", "0"),
+                "--scale-display must be positive and finite, got 0.0",
+                id="cli-distance",
+            ),
+            pytest.param(
+                lambda: _cli_call("eval", "a.xyz", "b.xyz", "--scale-display=-inf"),
+                "--scale-display must be positive and finite, got -inf",
+                id="cli-eval",
+            ),
+            pytest.param(
+                lambda: TransformSpec("cubic"),
+                "unknown transform kind 'cubic', expected one of ('l1', 'l2', 'exp', 'hyper')",
+                id="TransformSpec",
+            ),
+            pytest.param(
+                lambda: gen_shape("torus", 10, seed=0),
+                "unknown shape kind 'torus', expected one of "
+                "('sphere-surface', 'box-surface', 'plane-grid', 'l-bracket')",
+                id="gen_shape",
+            ),
+            pytest.param(
+                lambda: run_bench([8], kinds=("l2", "cubic"), repeats=3, warmup=1),
+                "unknown bench kind 'cubic', expected one of "
+                "('l1', 'l2', 'exp', 'hyper', 'poincare')",
+                id="run_bench",
+            ),
+            pytest.param(
+                lambda: evaluate(*_PAIR, threshold_mode="relative"),
+                "unknown threshold_mode 'relative', expected one of ('absolute', 'percent')",
+                id="evaluate-threshold_mode",
+            ),
+            pytest.param(
+                lambda: read_cloud("c.obj", format="obj"),
+                "unknown format 'obj', expected one of ('xyz', 'ply-ascii')",
+                id="read_cloud",
+            ),
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            pytest.param("n", lambda v: gen_shape("sphere-surface", v, 0), id="gen_shape-n"),
+            pytest.param("seed", lambda v: gen_shape("sphere-surface", 4, v), id="gen_shape-seed"),
+            pytest.param(
+                "k", lambda v: partial_view_crop(_PAIR[0], [0, 0, 0], v), id="partial_view_crop-k"
+            ),
+            pytest.param("seed", lambda v: jitter_cloud(_PAIR[0], 0.1, v), id="jitter_cloud-seed"),
+            pytest.param(
+                "seed",
+                lambda v: displace_outliers(_PAIR[0], 0.25, 1.0, v),
+                id="displace_outliers-seed",
+            ),
+            pytest.param(
+                "seed",
+                lambda v: run_bench([8], kinds=("l2",), repeats=3, warmup=1, seed=v),
+                id="run_bench-seed",
+            ),
+        ],
+    )
+    def test_counts_and_seeds_are_whole(self, name, call, bad):
+        # unchecked, numpy raises a TypeError naming no argument at 2.5,
+        # and k=True crops one point
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be a whole number, got {bad!r}"
+
+    @pytest.mark.parametrize("kind", SHAPE_KINDS)
+    def test_whole_float_size_is_its_int(self, kind):
+        assert gen_shape(kind, 8.0, 0) == gen_shape(kind, 8, 0)
+
+    def test_whole_float_seeds_and_k_are_their_ints(self):
+        c = gen_shape("sphere-surface", 16, 0)
+        assert gen_shape("box-surface", 8, 3.0) == gen_shape("box-surface", 8, 3)
+        assert partial_view_crop(c, [0, 0, 1], 4.0) == partial_view_crop(c, [0, 0, 1], 4)
+        assert jitter_cloud(c, 0.1, 5.0) == jitter_cloud(c, 0.1, 5)
+        out, idx = displace_outliers(c, 0.25, 1.0, 7.0)
+        expected, expected_idx = displace_outliers(c, 0.25, 1.0, 7)
+        assert out == expected
+        np.testing.assert_array_equal(idx, expected_idx)
+        report = run_bench([8], kinds=("l2",), repeats=3, warmup=1, seed=2.0)
+        assert type(report.seed) is int and report.seed == 2
