@@ -78,17 +78,21 @@ def read_cloud(path, format: str | None = None) -> PointCloud:
     and values of any of them are read as float64. Binary PLY and list
     properties on the vertex element are rejected; comment and obj_info
     header lines are skipped. Lines break where XYZ lines do, at newlines
-    only. A coordinate beyond MAX_ABS_COORD in magnitude is a ParseError.
+    only. A coordinate beyond MAX_ABS_COORD in magnitude, or a non-ASCII
+    byte anywhere in the file, is a ParseError.
     """
     fmt = _resolve_format(path, format)
-    with open(path, "r", encoding="ascii") as fh:
-        if fmt == "xyz":
-            pts = _read_rows(path, fh, 0, 3, [0, 1, 2])
-        else:
-            pts = _read_rows(path, fh, *_read_ply_header(path, fh))
-        # decode the rest, so a non-ASCII byte anywhere still fails the read
-        while fh.read(1 << 16):
-            pass
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            if fmt == "xyz":
+                pts = _read_rows(path, fh, 0, 3, [0, 1, 2])
+            else:
+                pts = _read_rows(path, fh, *_read_ply_header(path, fh))
+            # decode the rest, so a non-ASCII byte anywhere still fails the read
+            while fh.read(1 << 16):
+                pass
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 0, f"non-ASCII byte {exc.object[exc.start]:#04x}") from None
     if not len(pts):
         raise ParseError(path, 0, "file contains no points")
     try:

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chamferkit import bench, matching, run_bench
+from chamferkit import bench, run_bench
 
 
 class TestRunBenchValidation:
@@ -34,29 +34,18 @@ class TestRunBenchValidation:
 
 
 class TestRunBenchTimesTreeBuilds:
-    def test_each_timed_full_call_builds_both_trees(self, monkeypatch):
+    def test_each_timed_full_call_builds_both_trees(self, monkeypatch, kd_work):
         # a cloud keeps its tree once matched, so each timed full call of a
         # kd kind takes fresh copies of its pair and builds two trees inside
         # the timer; transform calls and the poincare scan build none
-        timed = []  # kd builds in each timed call, in call order
-        inside = False
+        reads = []  # the kd builds so far at each timer read, two per timed call
 
         def perf_counter():
-            nonlocal inside
-            inside = not inside
-            if inside:
-                timed.append(0)
+            reads.append(len(kd_work.builds))
             return time.perf_counter()
 
-        real = matching._kd_tree
-
-        def counting(points):
-            if inside:
-                timed[-1] += 1
-            return real(points)
-
         monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=perf_counter))
-        monkeypatch.setattr(matching, "_kd_tree", counting)
         run_bench(sizes=[64], kinds=("l2", "hyper", "poincare"), repeats=3, warmup=1)
+        timed = [end - start for start, end in zip(reads[::2], reads[1::2])]
         # a round: l2 full and transform, hyper full and transform, poincare full
         assert timed == [2, 0, 2, 0, 0] * 4

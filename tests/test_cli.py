@@ -113,6 +113,13 @@ class TestDistance:
         assert main(["distance", str(bad), str(tmp_path / "p.xyz")]) == 2
         assert capsys.readouterr().err == f"error: {bad}:3: negative element count\n"
 
+    def test_non_ascii_byte_is_data_error_naming_the_file(self, tmp_path, capsys):
+        bom = tmp_path / "bom.xyz"
+        bom.write_bytes(b"\xef\xbb\xbf0 0 0\n")
+        write_xyz(tmp_path / "ok.xyz", [[0.0, 0.0, 0.0]])
+        assert main(["distance", str(tmp_path / "ok.xyz"), str(bom)]) == 2
+        assert capsys.readouterr().err == f"error: {bom}: non-ASCII byte 0xef\n"
+
     def test_bad_kind_is_usage_error(self, pair_files, capsys):
         fa, fb, _, _ = pair_files
         assert main(["distance", str(fa), str(fb), "--kind", "manhattan"]) == 1

@@ -2,7 +2,6 @@ import csv
 
 import numpy as np
 import pytest
-import scipy.spatial
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -26,7 +25,7 @@ from chamferkit.fitting import sweep_alpha_lr
 from chamferkit.gradients import GradientField
 from chamferkit.matching import _TIE_K, _Matcher
 
-from testutil import uniform_cloud
+from testutil import assert_same_match, uniform_cloud
 
 L1 = TransformSpec("l1")
 L2 = TransformSpec("l2")
@@ -222,91 +221,53 @@ class TestMatchingAcrossEpochs:
     rows whose nearest point can have changed; its matches must still be
     match_brute's, bit for bit, at every epoch."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        """The points of every kd-tree built, in build order."""
-        built = []
-        real = scipy.spatial.cKDTree
-
-        def counting(data, *args, **kwargs):
-            built.append(np.array(data))
-            return real(data, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
-        return built
-
-    def test_target_tree_built_once(self, builds):
+    def test_target_tree_built_once(self, kd_work):
         noisy, clean = jittered_sphere(n=256)
         fit(noisy, clean, FitConfig(spec=HYPER, learning_rate=0.05, epochs=10))
-        assert [np.array_equal(p, clean.points) for p in builds].count(True) == 1
-        assert 2 <= len(builds) <= 12
+        assert [np.array_equal(p, clean.points) for p in kd_work.builds].count(True) == 1
+        assert 2 <= len(kd_work.builds) <= 12
 
-    def test_fits_and_sweep_cells_share_the_target_tree(self, builds):
+    def test_fits_and_sweep_cells_share_the_target_tree(self, kd_work):
         # the target keeps its tree, so only the first fit on it builds one
         noisy, clean = jittered_sphere(n=128)
         configs = [FitConfig(spec=HYPER, learning_rate=lr, epochs=5) for lr in (0.02, 0.05)]
         runs = [fit(noisy, clean, config) for config in configs]
         sweep = sweep_alpha_lr(noisy, clean, [0.5, 1.0], [0.02, 0.05], epochs=5)
         assert sweep.errors == {}
-        assert [np.array_equal(p, clean.points) for p in builds].count(True) == 1
+        assert [np.array_equal(p, clean.points) for p in kd_work.builds].count(True) == 1
         # a fresh copy of the target builds its own tree, to the same bits
         fresh = fit(noisy, PointCloud(clean.points), configs[1])
         assert fresh.final_cloud == runs[1].final_cloud
         assert fresh.losses.tobytes() == runs[1].losses.tobytes()
         assert sweep.final_l1_cd[1, 1] == fresh.final_l1_cd
 
-    def test_zero_learning_rate_builds_no_tree_after_epoch_0(self, builds):
+    def test_zero_learning_rate_builds_no_tree_after_epoch_0(self, kd_work):
         rng = np.random.default_rng(53)
         a = uniform_cloud(rng, 200)
         b = uniform_cloud(rng, 150)
         config = FitConfig(spec=HYPER, learning_rate=0.0, epochs=5, snapshot_epochs=(5,))
         traj = fit(a, b, config)
-        assert len(builds) == 2
-        assert np.array_equal(builds[0], b.points) and np.array_equal(builds[1], a.points)
-        match = traj.snapshots[0][2]
-        expected = match_brute(a, b)
-        for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
-            assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
+        assert len(kd_work.builds) == 2
+        assert np.array_equal(kd_work.builds[0], b.points)
+        assert np.array_equal(kd_work.builds[1], a.points)
+        assert_same_match(traj.snapshots[0][2], match_brute(a, b))
 
-    def test_moving_tree_built_at_few_states(self, monkeypatch):
+    def test_moving_tree_built_at_few_states(self, kd_work):
         # a stale row is rescored from its list of _TIE_K kd candidates, so
         # kd queries, and the moving cloud's tree, are needed only where a
         # list runs out: here only at epoch 0, where every row is queried
-        built, queried = [], []
-        real = scipy.spatial.cKDTree
-
-        class Counting(real):
-            def __init__(self, data, *args, **kwargs):
-                built.append(len(data))
-                super().__init__(data, *args, **kwargs)
-
-            def query(self, x, *args, **kwargs):
-                queried.append(len(x))
-                return super().query(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
         noisy, clean = jittered_sphere(n=256)
         fit(noisy, clean, FitConfig(spec=HYPER, learning_rate=0.05, epochs=20))
-        assert len(built) <= 4  # the target's tree and the moving cloud's, of 21 states
-        assert sum(queried) <= 2 * 256 + 25
+        assert len(kd_work.builds) <= 4  # the target's tree and the moving cloud's, of 21 states
+        assert sum(rows for _, rows, _ in kd_work.queries) <= 2 * 256 + 25
 
     @pytest.mark.parametrize("layout", ["8 copies", "1e-155"])
-    def test_requery_queries_each_row_once(self, monkeypatch, layout):
+    def test_requery_queries_each_row_once(self, kd_work, layout):
         # a re-queried row takes one kd query, at k = _TIE_K, whose list
         # settles its tie where it can; no row takes a second, k = 2, query
         # where more than _TIE_K points tie, nor where squares underflow and
         # a list settles only beyond the underflow margin. Only the tie
         # pass's bounded queries come on top.
-        ks = []
-        real = scipy.spatial.cKDTree
-
-        class Counting(real):
-            def query(self, x, k=1, *args, **kwargs):
-                if "distance_upper_bound" not in kwargs:
-                    ks.append(k)
-                return super().query(x, k, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
         rng = np.random.default_rng(20261019)
         base = rng.uniform(0.0, 1.0, (40, 3))
         cloud = np.vstack([rng.uniform(0.0, 1.0, (120, 3)), base])
@@ -318,10 +279,9 @@ class TestMatchingAcrossEpochs:
         matcher = _Matcher(target)
         for _ in range(4):
             state = PointCloud(cloud * scale)
-            got, expected = matcher.match(state), match_brute(state, target)
-            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
-                assert getattr(got, f).tobytes() == getattr(expected, f).tobytes()
+            assert_same_match(matcher.match(state), match_brute(state, target))
             cloud[:120] += rng.normal(0.0, 1e-3, (120, 3))
+        ks = [k for k, _, bounded in kd_work.queries if not bounded]
         assert ks and set(ks) == {_TIE_K}
 
     @seed(20261025)
@@ -384,9 +344,7 @@ class TestMatchingAcrossEpochs:
         traj = fit(initial, target, config)
         assert len(traj.snapshots) == epochs + 1
         for _, cloud, match in traj.snapshots:
-            expected = match_brute(cloud, target)
-            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
-                assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
+            assert_same_match(match, match_brute(cloud, target))
 
     @pytest.mark.parametrize("scale", [1e-155, 1e-160])
     def test_tiny_shifted_grid_every_epoch_equals_brute(self, scale):
@@ -400,9 +358,7 @@ class TestMatchingAcrossEpochs:
         config = FitConfig(spec=L2, learning_rate=0.05, epochs=3, snapshot_epochs=range(4))
         traj = fit(initial, target, config)
         for _, cloud, match in traj.snapshots:
-            expected = match_brute(cloud, target)
-            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
-                assert getattr(match, f).tobytes() == getattr(expected, f).tobytes()
+            assert_same_match(match, match_brute(cloud, target))
 
 
 class TestExportCorrespondences:

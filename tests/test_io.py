@@ -398,7 +398,20 @@ class TestLineHandling:
         p.write_bytes((head + "1 2 3\n" + faces + "1 0\n").encode("ascii"))
         np.testing.assert_array_equal(read_cloud(p).points, [[1, 2, 3]])
         p.write_bytes((head + "1 2 3\n" + faces + "1 \xe9\n").encode("latin-1"))
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ParseError, match=r"face\.ply"):
+            read_cloud(p)
+
+    def test_byte_order_mark_names_the_file(self, tmp_path):
+        p = tmp_path / "bom.xyz"
+        p.write_bytes(b"\xef\xbb\xbf1 2 3\n")
+        with pytest.raises(ParseError, match=r"bom\.xyz: non-ASCII byte 0xef$"):
+            read_cloud(p)
+
+    def test_non_ascii_header_line_names_the_file(self, tmp_path):
+        p = tmp_path / "head.ply"
+        head = PLY_XYZ_HEADER.format(1).replace("end_header", "comment caf\xe9\nend_header")
+        p.write_bytes((head + "1 2 3\n").encode("latin-1"))
+        with pytest.raises(ParseError, match=r"head\.ply: non-ASCII byte 0xe9$"):
             read_cloud(p)
 
 

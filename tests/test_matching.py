@@ -22,15 +22,14 @@ from chamferkit import (
 from chamferkit import evaluation, matching
 from chamferkit.matching import _TIE_CHUNK_ROWS, _TIE_K, _TIE_RTOL
 
-from testutil import mixed_cloud, snapped_cloud, sorted_nearest, uniform_cloud
-
-
-def assert_matches_equal(m1, m2):
-    np.testing.assert_array_equal(m1.fwd_idx, m2.fwd_idx)
-    np.testing.assert_array_equal(m1.bwd_idx, m2.bwd_idx)
-    # squared distances must agree to the bit, not just approximately
-    np.testing.assert_array_equal(m1.fwd_sq, m2.fwd_sq)
-    np.testing.assert_array_equal(m1.bwd_sq, m2.bwd_sq)
+from testutil import (
+    assert_same_match,
+    mixed_cloud,
+    shifted_grid_pair,
+    snapped_cloud,
+    sorted_nearest,
+    uniform_cloud,
+)
 
 
 class TestPairSq:
@@ -125,7 +124,7 @@ class TestMatchBrute:
                 assert ((sq == sq.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
                 assert ((sq == sq.min(axis=0, keepdims=True)).sum(axis=0) > 1).any()
             oracle = MatchResult(sq.argmin(axis=1), sq.min(axis=1), sq.argmin(axis=0), sq.min(axis=0))
-            assert_matches_equal(match_brute(q, t), oracle)
+            assert_same_match(match_brute(q, t), oracle)
 
     def test_chunked_path_consistent(self):
         # force many row chunks by exceeding the scratch budget
@@ -145,21 +144,21 @@ class TestMatchIndexed:
     def test_single_point_clouds(self):
         a = PointCloud([[0, 0, 0]])
         b = PointCloud([[3, 4, 0]])
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
 
     def test_random_pairs_equal_brute(self):
         rng = np.random.default_rng(10)
         for _ in range(40):
             a = mixed_cloud(rng, int(rng.integers(1, 300)))
             b = mixed_cloud(rng, int(rng.integers(1, 300)))
-            assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+            assert_same_match(match_indexed(a, b), match_brute(a, b))
 
     def test_tie_heavy_clouds_equal_brute(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             a = snapped_cloud(rng, int(rng.integers(50, 400)), grid=0.5)
             b = snapped_cloud(rng, int(rng.integers(50, 400)), grid=0.5)
-            assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+            assert_same_match(match_indexed(a, b), match_brute(a, b))
 
     def test_all_identical_points(self):
         a = PointCloud(np.zeros((5, 3)))
@@ -172,7 +171,7 @@ class TestMatchIndexed:
         rng = np.random.default_rng(12)
         a = uniform_cloud(rng, 8192)
         b = uniform_cloud(rng, 8192)
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
 
     def test_worker_env_var_is_ignored(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -180,43 +179,34 @@ class TestMatchIndexed:
         b = snapped_cloud(rng, 500, grid=0.25)
         expected = match_indexed(a, b)
         monkeypatch.setenv("CHAMFERKIT_WORKERS", "many")
-        assert_matches_equal(match_indexed(a, b), expected)
+        assert_same_match(match_indexed(a, b), expected)
 
     def test_sphere_to_cropped_sphere(self):
         full = gen_shape("sphere-surface", 1024, seed=3)
         partial = PointCloud(full.points[256:])
-        assert_matches_equal(match_indexed(partial, full), match_brute(partial, full))
+        assert_same_match(match_indexed(partial, full), match_brute(partial, full))
 
 
 class TestTreeCache:
-    def test_each_cloud_builds_its_tree_once(self, monkeypatch):
+    def test_each_cloud_builds_its_tree_once(self, monkeypatch, kd_work):
         # chamfer, evaluate and the reverse match_indexed all take the trees
         # the clouds kept from the first match; every row of a shifted grid
         # ties 4 ways, so the tie passes query the kept trees too
-        built, matches = [], []
-        real = matching._kd_tree
-        monkeypatch.setattr(matching, "_kd_tree", lambda p: built.append(p) or real(p))
+        matches = []
 
         def recording(x, y):
             matches.append((x, y, match_indexed(x, y)))
             return matches[-1][2]
 
         monkeypatch.setattr(evaluation, "match_indexed", recording)
-        side = 32
-        grid = gen_shape("plane-grid", side * side, seed=0).points
-        half = 0.5 / (side - 1)
-        rng = np.random.default_rng(28)
-        a = PointCloud(grid[rng.permutation(side * side)])
-        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
+        a, b = shifted_grid_pair(32, 28)
         matches.append((a, b, chamfer(a, b, TransformSpec("hyper")).match))
         report = evaluate(a, b)
         matches.append((b, a, match_indexed(b, a)))
-        assert sorted(map(id, built)) == sorted([id(a.points), id(b.points)])
+        assert sorted(map(id, kd_work.builds)) == sorted([id(a.points), id(b.points)])
         assert len(matches) == 3
         for x, y, got in matches:
-            expected = match_brute(x, y)
-            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
-                assert getattr(got, f).tobytes() == getattr(expected, f).tobytes()
+            assert_same_match(got, match_brute(x, y))
         assert report == evaluate(PointCloud(a.points), PointCloud(b.points))
 
 
@@ -265,21 +255,6 @@ def bounded_chunks(monkeypatch):
     return masks
 
 
-@pytest.fixture
-def kd_slots(monkeypatch):
-    """(k, rows) of every kd query match_indexed makes, in call order: each
-    query fetches k candidate slots for each of its rows."""
-    queries = []
-
-    class Counting(cKDTree):
-        def query(self, x, k=1, **kwargs):
-            queries.append((k, len(x)))
-            return super().query(x, k=k, **kwargs)
-
-    monkeypatch.setattr(matching, "_kd_tree", lambda p: Counting(p, balanced_tree=False))
-    return queries
-
-
 class TestTieResolution:
     def test_shifted_3d_lattice_takes_a_second_pass(self):
         # interior cell centres are equidistant from 8 lattice corners,
@@ -290,7 +265,7 @@ class TestTieResolution:
         a = PointCloud(lattice[rng.permutation(len(lattice))])
         b = PointCloud((lattice + 0.5)[rng.permutation(len(lattice))])
         assert len(tied_rows(a, b, _TIE_K)) > 0
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
 
     def test_duplicates_beyond_candidate_count(self):
         rng = np.random.default_rng(15)
@@ -299,34 +274,22 @@ class TestTieResolution:
         target = PointCloud(repeated[rng.permutation(len(repeated))])
         queries = PointCloud(np.vstack([base, uniform_cloud(rng, 60).points]))
         assert len(tied_rows(queries, target, _TIE_K)) > 0
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
 
     def test_tied_rows_spanning_several_chunks(self):
-        n = 4096
-        side = int(np.sqrt(n))
-        grid = gen_shape("plane-grid", n, seed=0).points
-        half = 0.5 / (side - 1)
-        rng = np.random.default_rng(16)
-        a = PointCloud(grid[rng.permutation(n)])
-        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)])
+        a, b = shifted_grid_pair(64, 16)
         assert len(tied_rows(a, b, 2)) > _TIE_CHUNK_ROWS
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
 
     @pytest.mark.parametrize("scale", [1e149, 1e-160])
     def test_scaled_shifted_grid_equals_brute(self, scale):
         # 4-way ties at the largest and a tiny scale, where the tie radii
         # square to subnormals or 0 and the candidates' gathered-column
         # scores must still carry pair_sq's bits
-        n = 4096
-        side = int(np.sqrt(n))
-        grid = gen_shape("plane-grid", n, seed=0).points
-        half = 0.5 / (side - 1)
-        rng = np.random.default_rng(24)
-        a = PointCloud(grid[rng.permutation(n)] * scale)
-        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)] * scale)
+        a, b = shifted_grid_pair(64, 24, scale)
         assert len(tied_rows(a, b, 4)) > _TIE_CHUNK_ROWS
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
-        assert_matches_equal(match_indexed(b, a), match_brute(b, a))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(b, a), match_brute(b, a))
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**480])
     def test_mirrored_candidates_tie_by_rounding(self, scale):
@@ -343,7 +306,7 @@ class TestTieResolution:
         target = PointCloud(np.vstack([centres + offsets, centres + offsets[:, ::-1]]) * scale)
         fwd_sq = pair_sq(queries.points, target.points[:n])
         assert (fwd_sq != pair_sq(queries.points, target.points[n:])).sum() > n // 10
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
 
     def test_duplicates_64_times_take_a_counted_pass(self, tie_passes):
         # every query ties with all 64 copies of its nearest point: the k=2
@@ -354,22 +317,22 @@ class TestTieResolution:
         repeated = np.repeat(base, 64, axis=0)
         target = PointCloud(repeated[rng.permutation(len(repeated))])
         queries = PointCloud(np.vstack([base, uniform_cloud(rng, 60).points]))
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
         assert tie_passes == [_TIE_K, 65]
-        assert_matches_equal(match_indexed(target, queries), match_brute(target, queries))
+        assert_same_match(match_indexed(target, queries), match_brute(target, queries))
 
     def test_sphere_centre_ties_with_every_target(self, tie_passes):
         target = gen_shape("sphere-surface", 3000, seed=18)
         queries = PointCloud([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
         assert tie_passes[-1] > len(target)  # so the last pass fetched all of it
 
     def test_one_point_target_never_ties(self, tie_passes):
         rng = np.random.default_rng(19)
         target = PointCloud([[0.25, 0.5, 0.75]])
         queries = PointCloud(np.vstack([target.points, uniform_cloud(rng, 50).points]))
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
-        assert_matches_equal(match_indexed(target, queries), match_brute(target, queries))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(target, queries), match_brute(target, queries))
         assert tie_passes == []
 
     def test_padded_partial_against_sphere(self):
@@ -378,8 +341,8 @@ class TestTieResolution:
         full = gen_shape("sphere-surface", 4096, seed=21)
         base = gen_shape("sphere-surface", 256, seed=22).points * 0.9
         partial = PointCloud(base[rng.permutation(np.resize(np.arange(256), 2048))])
-        assert_matches_equal(match_indexed(full, partial), match_brute(full, partial))
-        assert_matches_equal(match_indexed(partial, full), match_brute(partial, full))
+        assert_same_match(match_indexed(full, partial), match_brute(full, partial))
+        assert_same_match(match_indexed(partial, full), match_brute(partial, full))
 
     def test_deep_pass_spanning_several_chunks(self, monkeypatch, tie_passes):
         # 13 rows per first-pass chunk, so the k=65 pass takes one row per chunk
@@ -389,7 +352,7 @@ class TestTieResolution:
         repeated = np.repeat(base, 64, axis=0)
         target = PointCloud(repeated[rng.permutation(len(repeated))])
         queries = PointCloud(np.vstack([base, uniform_cloud(rng, 50).points]))
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
         # 80 tied rows in 7 chunks of 13: the first takes the k=2 query and a
         # k=5 pass, and sends its rows on; each later chunk takes a bounded
         # k=5 query, which sends the rows inside its bound straight on. One
@@ -412,101 +375,69 @@ class TestTieResolution:
         bound = np.sqrt(0.5) * (1.0 + _TIE_RTOL) ** 3
         d0 = np.sqrt(0.5 + lift * lift)
         assert d0 >= bound * (1.0 - _TIE_RTOL)
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
         # the first bounded chunk is the forward one
         assert bounded_chunks[0] == [False] * 4
 
-    def test_bounded_chunk_holding_the_whole_target_settles(self, monkeypatch, bounded_chunks):
+    def test_bounded_chunk_holding_the_whole_target_settles(self, monkeypatch, bounded_chunks, kd_work):
         # as above, against the 4 corners alone: each list holds the whole
         # target, so nothing lies outside it, and the chunk's rows, inside
         # the bound but not inside bound * (1 - _TIE_RTOL), are settled from
         # their lists with no k=2 query, though their tie radii exceed reach
         monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 4)
-        queried = []
-
-        class Counting(cKDTree):
-            def query(self, x, k=1, **kwargs):
-                queried.append((k, len(x)))
-                return super().query(x, k=k, **kwargs)
-
-        monkeypatch.setattr(matching, "_kd_tree", lambda p: Counting(p, balanced_tree=False))
         lift = 5e-5
         target = PointCloud([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         queries = PointCloud([[0.5, 0.5, 0.0]] * 4 + [[0.5, 0.5, lift]] * 4)
         bound = np.sqrt(0.5) * (1.0 + _TIE_RTOL) ** 3
         d0 = np.sqrt(0.5 + lift * lift)
         assert bound * (1.0 - _TIE_RTOL) <= d0 < bound
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
         assert bounded_chunks == [[True] * 4]
         # k=2 only for the first chunk of each direction, 4 rows each
-        assert sum(rows for k, rows in queried if k == 2) == 8
+        assert sum(rows for k, rows, _ in kd_work.queries if k == 2) == 8
 
     def test_bounded_chunks_of_a_shifted_grid_settle_every_row(self, bounded_chunks):
         # the tie radii of a shifted grid differ by rounding alone, so a row's
         # radius can lie ulps above the previous chunk's largest; the bound
         # still fits it, and no row of a bounded chunk falls back
-        side = 128
-        grid = gen_shape("plane-grid", side * side, seed=1).points
-        half = 0.5 / (side - 1)
-        rng = np.random.default_rng(1)
-        a = PointCloud(grid[rng.permutation(side * side)])
-        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        a, b = shifted_grid_pair(128, 1)
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
         assert len(bounded_chunks) > 1 and all(all(mask) for mask in bounded_chunks)
 
-    def test_bounded_chunk_that_sets_every_row_makes_no_empty_query(self, bounded_chunks, kd_slots):
+    def test_bounded_chunk_that_sets_every_row_makes_no_empty_query(self, bounded_chunks, kd_work):
         # each bounded chunk of a shifted grid sets all of its rows, which
         # leaves none for the k=2 query
-        side = 64
-        grid = gen_shape("plane-grid", side * side, seed=0).points
-        half = 0.5 / (side - 1)
-        rng = np.random.default_rng(26)
-        a = PointCloud(grid[rng.permutation(side * side)])
-        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)])
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        a, b = shifted_grid_pair(64, 26)
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
         assert len(bounded_chunks) > 1 and all(all(mask) for mask in bounded_chunks)
-        assert all(rows for k, rows in kd_slots)
+        assert all(rows for _, rows, _ in kd_work.queries)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-152, 1e-160])
-    def test_shifted_grid_work_is_bounded_at_every_scale(self, kd_slots, scale):
+    def test_shifted_grid_work_is_bounded_at_every_scale(self, kd_work, scale):
         # every row of a shifted grid ties 4 ways; below about 1e-150 the
         # distances square to subnormals or 0, where a list settles only
         # once it holds every target within the underflow margin, a few
         # dozen of them. A match fetches a bounded number of candidates per
         # row at every scale, and never climbs towards k = len(T)
-        side = 32
-        n = side * side
-        grid = gen_shape("plane-grid", n, seed=0).points
-        half = 0.5 / (side - 1)
-        rng = np.random.default_rng(27)
-        a = PointCloud(grid[rng.permutation(n)] * scale)
-        b = PointCloud((grid + [half, half, 0.0])[rng.permutation(n)] * scale)
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
-        assert sum(k * rows for k, rows in kd_slots) <= 20 * n * _TIE_K
+        a, b = shifted_grid_pair(32, 27, scale)
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
+        assert sum(k * rows for k, rows, _ in kd_work.queries) <= 20 * len(a) * _TIE_K
 
-    def test_bounded_chunk_sends_spilled_rows_to_the_counted_pass(self, monkeypatch, tie_passes):
+    def test_bounded_chunk_sends_spilled_rows_to_the_counted_pass(self, monkeypatch, tie_passes, kd_work):
         # the corners of a unit square twice over: its centre ties 8 ways,
         # beyond the 5 candidates fetched. In each direction the first chunk
         # takes the k=2 query, a k=5 pass and the counted pass (k=11, capped
         # at the 8 targets, 2 rows a query); the second, bounded, goes from
         # its one k=5 query straight to the counted pass
         monkeypatch.setattr(matching, "_TIE_CHUNK_ROWS", 4)
-        queried = []
-
-        class Counting(cKDTree):
-            def query(self, x, k=1, **kwargs):
-                queried.append((k, len(x)))
-                return super().query(x, k=k, **kwargs)
-
-        monkeypatch.setattr(matching, "_kd_tree", lambda p: Counting(p, balanced_tree=False))
         corners = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]
         target = PointCloud(corners * 2)
         queries = PointCloud([[0.5, 0.5, 0.0]] * 8)
-        assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
+        assert_same_match(match_indexed(queries, target), match_brute(queries, target))
         assert tie_passes == [_TIE_K, 11, 11] * 2
         # 16 rows over both directions: each fetched at k=5 once, and only the
         # 4 rows of each first chunk at k=2
-        fetched = {k: sum(rows for kk, rows in queried if kk == k) for k in (2, _TIE_K)}
+        fetched = {k: sum(rows for kk, rows, _ in kd_work.queries if kk == k) for k in (2, _TIE_K)}
         assert fetched == {2: 8, _TIE_K: 16}
 
     @seed(20261020)
@@ -540,8 +471,8 @@ class TestTieResolution:
         queries = PointCloud(np.vstack([make[kind](n) for kind, n in blocks]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(matching, "_TIE_CHUNK_ROWS", 7)
-            assert_matches_equal(match_indexed(queries, target), match_brute(queries, target))
-            assert_matches_equal(match_indexed(target, queries), match_brute(target, queries))
+            assert_same_match(match_indexed(queries, target), match_brute(queries, target))
+            assert_same_match(match_indexed(target, queries), match_brute(target, queries))
 
     @pytest.mark.parametrize("scale", [1e-140, 1e-160, 1e-200, 1e-310])
     def test_tiny_scales_equal_brute(self, scale):
@@ -550,8 +481,8 @@ class TestTieResolution:
         rng = np.random.default_rng(23)
         a = PointCloud(snapped_cloud(rng, 300, grid=0.25).points * scale)
         b = PointCloud(snapped_cloud(rng, 200, grid=0.25).points * scale)
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
-        assert_matches_equal(match_indexed(b, a), match_brute(b, a))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(b, a), match_brute(b, a))
 
     @seed(20241223)
     @settings(max_examples=60, deadline=2000, database=None)
@@ -565,7 +496,7 @@ class TestTieResolution:
         rng = np.random.default_rng(cloud_seed)
         a = snapped_cloud(rng, n, grid=grid)
         b = snapped_cloud(rng, m, grid=grid)
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
 
 
 class TestIndexedEqualsBruteProperty:
@@ -593,8 +524,8 @@ class TestIndexedEqualsBruteProperty:
             return PointCloud(pts * scale)
 
         a, b = cloud(n), cloud(m)
-        assert_matches_equal(match_indexed(a, b), match_brute(a, b))
-        assert_matches_equal(match_indexed(b, a), match_brute(b, a))
+        assert_same_match(match_indexed(a, b), match_brute(a, b))
+        assert_same_match(match_indexed(b, a), match_brute(b, a))
 
 
 class TestMatcherAcrossCalls:
@@ -639,7 +570,7 @@ class TestMatcherAcrossCalls:
             cloud = PointCloud(points * scale)
             expected = match_brute(cloud, target)
             returned.append((matcher.match(cloud), expected))
-            assert_matches_equal(*returned[-1])
+            assert_same_match(*returned[-1])
             if motion == "translate":
                 points = points + np.eye(3)[rng.integers(3)] * step
             elif motion == "walk":
@@ -649,7 +580,7 @@ class TestMatcherAcrossCalls:
                 points[rng.integers(len(points))] += rng.uniform(-step, step, 3)
         # a later call must not change what an earlier one returned
         for got, expected in returned:
-            assert_matches_equal(got, expected)
+            assert_same_match(got, expected)
 
     @seed(20261102)
     @settings(max_examples=150, deadline=2000, database=None)
@@ -690,7 +621,7 @@ class TestMatcherAcrossCalls:
         matcher = matching._Matcher(target)
         for _ in range(6):
             cloud = PointCloud(points)
-            assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
+            assert_same_match(matcher.match(cloud), match_brute(cloud, target))
             points = points + rng.uniform(-1.0, 1.0, points.shape) * step
 
     def test_keep_rule_floor(self):
@@ -704,7 +635,7 @@ class TestMatcherAcrossCalls:
         for x, nearest in ((4e-162, 1), (4.3e-162, 0)):
             cloud = PointCloud([[x, 0.0, 0.0]])
             got = matcher.match(cloud)
-            assert_matches_equal(got, match_brute(cloud, target))
+            assert_same_match(got, match_brute(cloud, target))
             assert got.fwd_idx.tolist() == [nearest]
 
     def test_keep_rule_takes_the_underflow_margin_twice(self):
@@ -724,7 +655,7 @@ class TestMatcherAcrossCalls:
         for x, nearest in ((0.0, 1), (9e-165, 0)):
             cloud = PointCloud([[x, x, x]])
             got = matcher.match(cloud)
-            assert_matches_equal(got, match_brute(cloud, target))
+            assert_same_match(got, match_brute(cloud, target))
             assert got.fwd_idx.tolist() == [nearest]
         assert got.fwd_sq.tolist() == [3 * u]
 
@@ -739,7 +670,7 @@ class TestMatcherAcrossCalls:
         matcher = matching._Matcher(target)
         for x in (0.0, 0.2, 0.4):
             cloud = PointCloud([[x, 0.0, 0.0]])
-            assert_matches_equal(matcher.match(cloud), match_brute(cloud, target))
+            assert_same_match(matcher.match(cloud), match_brute(cloud, target))
         assert matcher.match(cloud).fwd_idx.tolist() == [5]
 
     def test_free_margin_covers_moves_lost_to_rounding(self):
@@ -757,7 +688,7 @@ class TestMatcherAcrossCalls:
         for i, x in enumerate([*(0.01 + 1e-16 * np.arange(101)), 1.51 - 1e-6]):
             cloud = PointCloud([[x, 0.0, 0.0]])
             got = matcher.match(cloud)
-            assert_matches_equal(got, match_brute(cloud, target))
+            assert_same_match(got, match_brute(cloud, target))
             if i == 0:
                 assert matcher._fwd.cand[:, 0].tolist() == [0, 1, 2, 3, 4]
         assert got.fwd_idx.tolist() == [5]
@@ -773,7 +704,7 @@ class TestMatcherAcrossCalls:
         for x in 1e-16 * np.arange(101):
             cloud = PointCloud([[x, 0.0, 0.0]])
             got = matcher.match(cloud)
-            assert_matches_equal(got, match_brute(cloud, target))
+            assert_same_match(got, match_brute(cloud, target))
         assert got.fwd_idx.tolist() == [1]
 
 
@@ -816,8 +747,7 @@ class MatcherMoves(RuleBasedStateMachine):
         cloud = PointCloud(self.points)
         self.returned.append((self.matcher.match(cloud), match_brute(cloud, self.target)))
         for got, expected in self.returned:
-            for f in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
-                assert getattr(got, f).tobytes() == getattr(expected, f).tobytes()
+            assert_same_match(got, expected)
 
     def move(self, rows, to):
         self.points = self.points.copy()
@@ -879,7 +809,7 @@ class TestCoordinateRange:
         a = PointCloud([[MAX_ABS_COORD, 0, 0], [0, 0, 0]])
         b = PointCloud([[-MAX_ABS_COORD, -MAX_ABS_COORD, -MAX_ABS_COORD], [1, 1, 1]])
         m = match_indexed(a, b)
-        assert_matches_equal(m, match_brute(a, b))
+        assert_same_match(m, match_brute(a, b))
         assert np.isfinite(m.fwd_sq).all() and np.isfinite(m.bwd_sq).all()
 
     @pytest.mark.parametrize("big", [1e200, -1e155, 2 * MAX_ABS_COORD])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from chamferkit import PointCloud, pair_sq, transform
+from chamferkit import PointCloud, gen_shape, pair_sq, transform
 
 
 def uniform_cloud(rng, n, scale=1.0, offset=0.0):
@@ -44,6 +44,27 @@ def ball_cloud(rng, n, radius=0.9):
     v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
     r = radius * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1.0 / 3.0)
     return PointCloud(v * r)
+
+
+def shifted_grid_pair(side, seed, scale=1.0):
+    """A side x side plane grid and the grid shifted half a spacing in x and
+    y, each in its own random row order and times scale: every interior
+    point of either ties 4 ways with the other."""
+    grid = gen_shape("plane-grid", side * side, seed=0).points
+    half = 0.5 / (side - 1)
+    rng = np.random.default_rng(seed)
+    a = PointCloud(grid[rng.permutation(side * side)] * scale)
+    b = PointCloud((grid + [half, half, 0.0])[rng.permutation(side * side)] * scale)
+    return a, b
+
+
+def assert_same_match(got, expected):
+    """Two MatchResults hold the same indices and squared distances, to the
+    bit and in the same dtypes; numpy's message shows a difference in value."""
+    for field in ("fwd_idx", "fwd_sq", "bwd_idx", "bwd_sq"):
+        g, e = getattr(got, field), getattr(expected, field)
+        np.testing.assert_array_equal(g, e, err_msg=field)
+        assert g.dtype == e.dtype and g.tobytes() == e.tobytes(), field
 
 
 def distance_matrix(a: PointCloud, b: PointCloud) -> np.ndarray:
